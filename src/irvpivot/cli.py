@@ -167,7 +167,10 @@ def main(argv: list[str] | None = None) -> None:
     p.set_defaults(func=_cmd_experiment)
 
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except ValueError as exc:
+        raise SystemExit(f"pivot: {exc}") from None
 
 
 if __name__ == "__main__":

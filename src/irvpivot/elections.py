@@ -48,6 +48,44 @@ def _validate_ranking(ranking: Ranking, kappa: int, max_length: int) -> None:
             raise ValueError(f"candidate {c} out of range for kappa={kappa}")
 
 
+def _check_limits(kappa: int, max_length: int | None) -> tuple[int, int]:
+    """Validated (kappa, max_length); ``max_length`` defaults to ``kappa``."""
+    if kappa < 2:
+        raise ValueError(f"kappa must be at least 2, got {kappa}")
+    if max_length is None:
+        max_length = kappa
+    if not 1 <= max_length <= kappa:
+        raise ValueError(f"max_length must be in 1..{kappa}, got {max_length}")
+    return int(kappa), int(max_length)
+
+
+def _check_ballot(profile: "BallotProfile", ballot: Sequence[int]) -> Ranking:
+    """The ballot as a ranking, validated against the profile's limits."""
+    ballot = _as_ranking(ballot)
+    _validate_ranking(ballot, profile.kappa, profile.max_length)
+    return ballot
+
+
+def _utility_vector(
+    kappa: int, utilities: Sequence[float] | Mapping[int, float]
+) -> tuple[float, ...]:
+    """One finite utility per candidate, from a sequence or a mapping."""
+    if isinstance(utilities, Mapping):
+        try:
+            vals = [float(utilities[c]) for c in range(kappa)]
+        except KeyError as exc:
+            raise ValueError(f"missing utility for candidate {exc.args[0]}") from None
+    else:
+        vals = [float(v) for v in utilities]
+        if len(vals) != kappa:
+            raise ValueError(
+                f"need one utility per candidate ({kappa}), got {len(vals)}"
+            )
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError("utilities must be finite")
+    return tuple(vals)
+
+
 def admissible_rankings(
     kappa: int, max_length: int | None = None, full_length_only: bool = False
 ) -> list[Ranking]:
@@ -91,14 +129,7 @@ class BallotProfile:
         rates: Mapping[Sequence[int], float],
         max_length: int | None = None,
     ):
-        if kappa < 2:
-            raise ValueError(f"kappa must be at least 2, got {kappa}")
-        if max_length is None:
-            max_length = kappa
-        if not 1 <= max_length <= kappa:
-            raise ValueError(f"max_length must be in 1..{kappa}, got {max_length}")
-        self.kappa = int(kappa)
-        self.max_length = int(max_length)
+        self.kappa, self.max_length = _check_limits(kappa, max_length)
         cleaned: dict[Ranking, float] = {}
         for key, rate in rates.items():
             ranking = _as_ranking(key)
@@ -131,8 +162,12 @@ class BallotProfile:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BallotProfile":
-        rates = {tuple(e["ranking"]): e["rate"] for e in data["rates"]}
-        return cls(data["kappa"], rates, data.get("L"))
+        try:
+            rates = {tuple(e["ranking"]): e["rate"] for e in data["rates"]}
+            kappa = data["kappa"]
+        except KeyError as exc:
+            raise ValueError(f"profile lacks the {exc.args[0]!r} field") from None
+        return cls(kappa, rates, data.get("L"))
 
     def dump(self, path) -> None:
         with open(path, "w") as fh:
@@ -168,12 +203,7 @@ class RealizedElection:
         counts: Mapping[Sequence[int], int],
         max_length: int | None = None,
     ):
-        if kappa < 2:
-            raise ValueError(f"kappa must be at least 2, got {kappa}")
-        if max_length is None:
-            max_length = kappa
-        self.kappa = int(kappa)
-        self.max_length = int(max_length)
+        self.kappa, self.max_length = _check_limits(kappa, max_length)
         cleaned: dict[Ranking, int] = {}
         for key, count in counts.items():
             ranking = _as_ranking(key)

@@ -8,6 +8,14 @@ numbers, so the added ballot is the only difference between the two counts.
 A draw whose winner changes is pivotal; it counts as direct when the new
 winner is the ballot's own surviving candidate, indirect otherwise.
 
+Counting uses a recipient table built once per call: for every active-set
+bitmask and every ranking, the first listed candidate still standing (or
+``kappa`` for an exhausted ballot).  Each round scatters the ranking counts
+into per-candidate totals through that table, and the studied ballot adds
+one vote through its own column, so the recount also yields the ballot's
+final-round choice that tells direct from indirect pivots.  Only draws
+where some round was decided by at most one vote are recounted.
+
 Draws are generated in fixed-size blocks with a counter-based seed per
 block, so estimates are bit-for-bit reproducible and independent of how
 blocks would be scheduled across workers.
@@ -17,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .elections import BallotProfile, Ranking
+from .elections import BallotProfile, Ranking, _check_ballot, _utility_vector
 
 __all__ = [
     "OracleConfig",
@@ -79,83 +87,88 @@ def _block_rngs(cfg: OracleConfig, block: int) -> tuple[np.random.Generator, np.
     return counts, coins
 
 
+def _recipients(rankings: Sequence[Ranking], kappa: int) -> np.ndarray:
+    """Recipient table: ``recip[mask, j]`` is the first candidate of
+    ``rankings[j]`` in the active-set bitmask ``mask``, or ``kappa`` when
+    every candidate it lists is eliminated (the ballot is exhausted)."""
+    masks = np.arange(1 << kappa)
+    recip = np.full((len(masks), len(rankings)), kappa, dtype=np.intp)
+    for j, ranking in enumerate(rankings):
+        for cand in reversed(ranking):
+            recip[(masks >> cand) & 1 == 1, j] = cand
+    return recip
+
+
 def _tabulate_block(
     counts: np.ndarray,
-    rankings: list[Ranking],
-    kappa: int,
+    recip: np.ndarray,
     tie_strength: np.ndarray,
+    extra: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized IRV count of many electorates at once.
 
     Args:
         counts: (n, R) ballot counts per ranking.
-        rankings: The R rankings, column order of ``counts``.
-        kappa: Number of candidates.
+        recip: (2**kappa, R) recipient table from :func:`_recipients`.
         tie_strength: (n, kappa) floats in [0, 1); on equal totals the
             candidate with smaller strength drops (and loses the final).
+        extra: Optional recipient column of one more ballot, added to
+            every electorate.
 
     Returns:
-        (winner, drops, close): winner per draw, (n, kappa-1) elimination
-        order, and a flag marking draws where some round was decided by a
-        margin of at most one vote (only those can react to one more
-        ballot).
+        (winner, final, close): winner per draw, the active-set bitmask of
+        the final round, and a flag marking draws where some round was
+        decided by a margin of at most one vote (only those can react to
+        one more ballot).
     """
-    n = counts.shape[0]
-    active = np.ones((n, kappa), dtype=bool)
-    drops = np.empty((n, kappa - 1), dtype=np.int64)
-    close = np.zeros(n, dtype=bool)
+    n, kappa = tie_strength.shape
+    bits = (np.arange(1 << kappa)[:, None] >> np.arange(kappa)) & 1 == 1
+    inactive = np.where(bits, 0.0, np.inf).T.copy()
+    # Totals are kept candidate-major, as a flat (kappa + 1, n) array whose
+    # row kappa collects exhausted ballots; per-candidate reductions over
+    # axis 0 are far cheaper than over a short axis 1.
+    offsets = recip.T * n
     rows = np.arange(n)
-    for rnd in range(kappa - 1):
-        totals = np.zeros((n, kappa), dtype=np.int64)
-        for j, ranking in enumerate(rankings):
-            sel = np.full(n, -1, dtype=np.int64)
-            for cand in reversed(ranking):
-                sel = np.where(active[:, cand], cand, sel)
-            for cand in ranking:
-                mask = sel == cand
-                if mask.any():
-                    totals[mask, cand] += counts[mask, j]
-        masked = np.where(active, totals.astype(np.float64), np.inf)
-        two_smallest = np.partition(masked, 1, axis=1)[:, :2]
-        close |= (two_smallest[:, 1] - two_smallest[:, 0]) <= 1.0
-        loser = np.argmin(masked + tie_strength, axis=1)
-        active[rows, loser] = False
-        drops[:, rnd] = loser
-    winner = np.argmax(active, axis=1)
-    return winner, drops, close
+    mask = np.full(n, (1 << kappa) - 1, dtype=np.intp)
+    close = np.zeros(n, dtype=bool)
+    for _ in range(kappa - 1):
+        final = mask
+        totals = np.zeros((kappa + 1) * n, dtype=np.int64)
+        for j in range(len(offsets)):
+            totals[offsets[j].take(mask) + rows] += counts[:, j]
+        if extra is not None:
+            totals[extra.take(mask) * n + rows] += 1
+        key = totals[: kappa * n].reshape(kappa, n) + inactive.take(mask, axis=1)
+        close |= (key <= key.min(axis=0) + 1.0).sum(axis=0) >= 2
+        loser = np.argmin(key + tie_strength.T, axis=0)
+        mask = mask & ~(1 << loser)
+    return bits.argmax(axis=1).take(mask), final, close
 
 
-def _prepare(profile: BallotProfile) -> tuple[list[Ranking], np.ndarray]:
+def _pivot_blocks(
+    profile: BallotProfile, ballots: Sequence[Ranking], cfg: OracleConfig
+) -> Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Per block of draws, one ``(w0, w1, direct)`` per ballot over the
+    block's near-tie draws: the winner without and with the ballot, and
+    whether the ballot's surviving candidate at the final round is ``w1``
+    (the pivot, where ``w1 != w0``, is then direct)."""
     rankings = sorted(profile.rates)
     rates = np.array([profile.rates[r] for r in rankings], dtype=np.float64)
-    return rankings, rates
-
-
-def _with_ballot(
-    rankings: list[Ranking], counts: np.ndarray, ballot: Ranking
-) -> tuple[list[Ranking], np.ndarray]:
-    if ballot in rankings:
-        j = rankings.index(ballot)
-        counts = counts.copy()
-        counts[:, j] += 1
-        return rankings, counts
-    extra = np.ones((counts.shape[0], 1), dtype=counts.dtype)
-    return rankings + [ballot], np.hstack([counts, extra])
-
-
-def _classify(
-    ballot: Ranking, drops_with: np.ndarray, winners_with: np.ndarray, kappa: int
-) -> np.ndarray:
-    """True where the pivot is direct: the ballot's first candidate still
-    standing at the final round is the new winner."""
-    out = np.zeros(len(winners_with), dtype=bool)
-    for i in range(len(winners_with)):
-        early = set(drops_with[i, : kappa - 2].tolist())
-        for cand in ballot:
-            if cand not in early:
-                out[i] = cand == winners_with[i]
-                break
-    return out
+    recip = _recipients(rankings, profile.kappa)
+    extras = _recipients(ballots, profile.kappa).T
+    for block, done in enumerate(range(0, cfg.draws, _BLOCK)):
+        n = min(_BLOCK, cfg.draws - done)
+        rng_counts, rng_coins = _block_rngs(cfg, block)
+        counts = rng_counts.poisson(rates, size=(n, len(rates)))
+        tie_strength = rng_coins.random((n, profile.kappa))
+        w0, _, near = _tabulate_block(counts, recip, tie_strength)
+        idx = np.flatnonzero(near)
+        counts, tie_strength, w0 = counts[idx], tie_strength[idx], w0[idx]
+        out = []
+        for extra in extras:
+            w1, final, _ = _tabulate_block(counts, recip, tie_strength, extra)
+            out.append((w0, w1, extra[final] == w1))
+        yield out
 
 
 def mc_pivot_estimates(
@@ -169,34 +182,14 @@ def mc_pivot_estimates(
     result for each ballot is identical to running
     :func:`mc_pivot_estimate` on it alone.
     """
-    kappa = profile.kappa
-    ballots = [tuple(int(c) for c in b) for b in ballots]
-    rankings, rates = _prepare(profile)
+    ballots = [_check_ballot(profile, b) for b in ballots]
     n_direct = [0] * len(ballots)
     n_indirect = [0] * len(ballots)
-    done = 0
-    block = 0
-    while done < cfg.draws:
-        n = min(_BLOCK, cfg.draws - done)
-        rng_counts, rng_coins = _block_rngs(cfg, block)
-        counts = rng_counts.poisson(rates, size=(n, len(rates)))
-        tie_strength = rng_coins.random((n, kappa))
-        w0, _, near = _tabulate_block(counts, rankings, kappa, tie_strength)
-        if near.any():
-            idx = np.flatnonzero(near)
-            sub_counts = counts[idx]
-            sub_strength = tie_strength[idx]
-            sub_w0 = w0[idx]
-            for b, ballot in enumerate(ballots):
-                rk1, ct1 = _with_ballot(rankings, sub_counts, ballot)
-                w1, drops1, _ = _tabulate_block(ct1, rk1, kappa, sub_strength)
-                flipped = w1 != sub_w0
-                if flipped.any():
-                    direct = _classify(ballot, drops1[flipped], w1[flipped], kappa)
-                    n_direct[b] += int(direct.sum())
-                    n_indirect[b] += int((~direct).sum())
-        done += n
-        block += 1
+    for block in _pivot_blocks(profile, ballots, cfg):
+        for b, (w0, w1, direct) in enumerate(block):
+            flipped = w1 != w0
+            n_direct[b] += int(np.count_nonzero(flipped & direct))
+            n_indirect[b] += int(np.count_nonzero(flipped & ~direct))
 
     out = []
     for b in range(len(ballots)):
@@ -222,29 +215,8 @@ def mc_expected_utility(
     cfg: OracleConfig,
 ) -> float:
     """Average winner-utility change from adding the ballot, per draw."""
-    kappa = profile.kappa
-    if isinstance(utilities, Mapping):
-        u = np.array([float(utilities[c]) for c in range(kappa)])
-    else:
-        u = np.asarray(utilities, dtype=np.float64)
-        if u.shape != (kappa,):
-            raise ValueError(f"need one utility per candidate ({kappa})")
-    ballot = tuple(int(c) for c in ballot)
-    rankings, rates = _prepare(profile)
+    u = np.array(_utility_vector(profile.kappa, utilities))
     gain = 0.0
-    done = 0
-    block = 0
-    while done < cfg.draws:
-        n = min(_BLOCK, cfg.draws - done)
-        rng_counts, rng_coins = _block_rngs(cfg, block)
-        counts = rng_counts.poisson(rates, size=(n, len(rates)))
-        tie_strength = rng_coins.random((n, kappa))
-        w0, _, near = _tabulate_block(counts, rankings, kappa, tie_strength)
-        if near.any():
-            idx = np.flatnonzero(near)
-            rk1, ct1 = _with_ballot(rankings, counts[idx], ballot)
-            w1, _, _ = _tabulate_block(ct1, rk1, kappa, tie_strength[idx])
-            gain += float(np.sum(u[w1] - u[w0[idx]]))
-        done += n
-        block += 1
+    for ((w0, w1, _),) in _pivot_blocks(profile, [_check_ballot(profile, ballot)], cfg):
+        gain += float(np.sum(u[w1] - u[w0]))
     return gain / cfg.draws

@@ -23,7 +23,14 @@ from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Mapping, Sequence
 
-from .elections import BallotProfile, Ranking, admissible_rankings, expected_total
+from .elections import (
+    BallotProfile,
+    Ranking,
+    _check_ballot,
+    _utility_vector,
+    admissible_rankings,
+    expected_total,
+)
 from .skellam import DEFAULT_TOLERANCE, Tolerance, prob_strictly_greater, skellam_pmf, tie_terms
 
 __all__ = [
@@ -130,20 +137,6 @@ def _event_dict(event) -> dict:
         "probability": event.probability,
         "utility_swing": event.utility_swing,
     }
-
-
-def _check_ballot(profile: BallotProfile, ballot: Sequence[int]) -> Ranking:
-    ballot = tuple(int(c) for c in ballot)
-    if not 1 <= len(ballot) <= profile.max_length:
-        raise ValueError(
-            f"ballot length must be 1..{profile.max_length}, got {len(ballot)}"
-        )
-    if len(set(ballot)) != len(ballot):
-        raise ValueError(f"ballot {ballot!r} repeats a candidate")
-    for c in ballot:
-        if not 0 <= c < profile.kappa:
-            raise ValueError(f"candidate {c} out of range")
-    return ballot
 
 
 def drop_lists(kappa: int, candidate: int):
@@ -412,25 +405,6 @@ class PivotCalculator:
 
 def _with_swing(event, swing: float):
     return replace(event, utility_swing=swing)
-
-
-def _utility_vector(
-    kappa: int, utilities: Sequence[float] | Mapping[int, float]
-) -> tuple[float, ...]:
-    if isinstance(utilities, Mapping):
-        try:
-            vals = [float(utilities[c]) for c in range(kappa)]
-        except KeyError as exc:
-            raise ValueError(f"missing utility for candidate {exc.args[0]}") from None
-    else:
-        vals = [float(v) for v in utilities]
-        if len(vals) != kappa:
-            raise ValueError(
-                f"need one utility per candidate ({kappa}), got {len(vals)}"
-            )
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError("utilities must be finite")
-    return tuple(vals)
 
 
 # -- module-level operations ----------------------------------------------

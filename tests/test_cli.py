@@ -120,3 +120,11 @@ def test_bad_ballot_message(profile_path):
     res = run_cli("compute", "--profile", profile_path, "--ballot", "zero")
     assert res.returncode != 0
     assert "cannot parse ballot" in res.stderr
+
+
+def test_malformed_profile_message(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kappa": 3}')
+    res = run_cli("compute", "--profile", str(path), "--ballot", "0")
+    assert res.returncode != 0
+    assert res.stderr.strip() == "pivot: profile lacks the 'rates' field"

@@ -28,6 +28,13 @@ def test_profile_validation():
         BallotProfile(3, {(0,): -1.0})
     with pytest.raises(ValueError):
         BallotProfile(3, {(0, 1, 2): 1.0}, max_length=2)
+    with pytest.raises(ValueError, match="max_length"):
+        RealizedElection(3, {(0,): 1}, max_length=9)
+    for missing in ("kappa", "rates"):
+        data = {"kappa": 3, "rates": [{"ranking": [0], "rate": 1.0}]}
+        del data[missing]
+        with pytest.raises(ValueError, match=missing):
+            BallotProfile.from_dict(data)
     prof = BallotProfile(3, {(0, 1): 2.5, (2,): 1.5})
     assert prof.total_expected == pytest.approx(4.0)
 

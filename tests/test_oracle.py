@@ -2,17 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from irvpivot import (
     BallotProfile,
+    RealizedElection,
     OracleConfig,
     OracleEstimate,
     mc_expected_utility,
     mc_pivot_estimate,
     mc_pivot_estimates,
+    admissible_rankings,
+    tabulate,
     total_pivot_prob,
 )
+from irvpivot.oracle import _recipients, _tabulate_block
 
 from conftest import dirichlet_profile
 
@@ -89,3 +94,109 @@ def test_expected_utility_constant_and_indicator():
     gain = mc_expected_utility(prof2, [0], [1.0, 0.0], cfg2)
     est = mc_pivot_estimate(prof2, [0], cfg2)
     assert gain == pytest.approx(est.p_total_hat, abs=1e-12)
+
+
+# Direct and indirect pivot counts (and utilities) recorded from the
+# original per-ranking tabulation; any rewrite of the oracle must replay the
+# same RNG streams and reproduce them exactly.
+PINNED = [
+    (
+        BallotProfile(2, {(0,): 7.0, (1,): 6.0}, max_length=1),
+        [(0,), (1,)],
+        OracleConfig(draws=70_000, seed=3),
+        [(7217, 0), (7760, 0)],
+    ),
+    (
+        # max_length < kappa: some ballots exhaust before the final round
+        BallotProfile(
+            3,
+            {(0, 2): 6.0, (1,): 5.0, (2, 1): 5.0, (0,): 4.0, (1, 0): 5.0, (2,): 5.0},
+            max_length=2,
+        ),
+        [(0, 2), (1, 2), (2,), (1,)],
+        OracleConfig(draws=70_000, seed=21),
+        [(5865, 2270), (6048, 2020), (4947, 2051), (4854, 2020)],
+    ),
+    (
+        BallotProfile(
+            4,
+            {
+                (0, 1, 2, 3): 4.0,
+                (1, 0, 3, 2): 3.5,
+                (2, 3, 1, 0): 3.0,
+                (3, 2, 0, 1): 3.2,
+                (0, 2): 2.5,
+                (1,): 2.0,
+                (3, 1, 2): 2.8,
+            },
+        ),
+        [(0, 1, 2, 3), (2, 0, 3, 1), (3,), (1,)],
+        OracleConfig(draws=70_000, seed=8, tie_coin_seed=5),
+        [(9125, 767), (10700, 1685), (7334, 1399), (7575, 446)],
+    ),
+]
+
+
+@pytest.mark.parametrize("prof, ballots, cfg, counts", PINNED)
+def test_pinned_pivot_counts(prof, ballots, cfg, counts):
+    got = mc_pivot_estimates(prof, ballots, cfg)
+    assert [(e.p_direct_hat, e.p_indirect_hat) for e in got] == [
+        (d / cfg.draws, i / cfg.draws) for d, i in counts
+    ]
+
+
+def test_pinned_expected_utility():
+    prof, _, cfg, _ = PINNED[1]
+    assert mc_expected_utility(prof, (1, 2), [1.0, 0.5, -0.25], cfg) == -0.06881428571428572
+    prof, _, cfg, _ = PINNED[2]
+    utilities = {0: 0.0, 1: 1.0, 2: 3.0, 3: -2.0}
+    assert mc_expected_utility(prof, (2, 0, 3, 1), utilities, cfg) == 0.2123857142857143
+
+
+@pytest.mark.parametrize("ballot", [(-1,), (0, 0), (7,)])
+def test_bad_ballots_rejected(ballot):
+    prof = dirichlet_profile(3, 30.0, seed=6)
+    cfg = OracleConfig(draws=10)
+    with pytest.raises(ValueError):
+        mc_pivot_estimate(prof, ballot, cfg)
+    with pytest.raises(ValueError):
+        mc_pivot_estimates(prof, [(0,), ballot], cfg)
+    with pytest.raises(ValueError):
+        mc_expected_utility(prof, ballot, [1.0, 0.0, 0.0], cfg)
+
+
+@pytest.mark.parametrize("utilities", [{0: 1.0, 1: 0.0}, [math.nan, 0.0, 0.0]])
+def test_expected_utility_rejects_bad_utilities(utilities):
+    prof = dirichlet_profile(3, 30.0, seed=6)
+    with pytest.raises(ValueError):
+        mc_expected_utility(prof, (0,), utilities, OracleConfig(draws=10))
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4, 5])
+def test_block_tabulation_matches_scalar_tabulate(kappa):
+    """Per draw, the vectorized count agrees with ``elections.tabulate`` run
+    with candidates ordered by descending tie strength, with and without
+    one added ballot; ``direct`` marks the added ballot's final-round
+    choice winning."""
+    rng = np.random.default_rng(kappa)
+    for max_length in range(1, kappa + 1):
+        pool = admissible_rankings(kappa, max_length)
+        picks = rng.choice(len(pool), size=min(len(pool), 6), replace=False)
+        rankings = sorted(pool[int(j)] for j in picks)
+        ballot = pool[int(rng.integers(len(pool)))]
+        counts = rng.integers(0, 4, size=(60, len(rankings)))
+        counts[:, 0] += 1  # no empty electorates
+        strength = rng.random((60, kappa))
+        recip = _recipients(rankings, kappa)
+        extra = _recipients([ballot], kappa)[:, 0]
+        w0, _, _ = _tabulate_block(counts, recip, strength)
+        w1, final, _ = _tabulate_block(counts, recip, strength, extra)
+        for i in range(len(counts)):
+            order = [int(c) for c in np.argsort(-strength[i])]
+            realized = dict(zip(rankings, counts[i].tolist()))
+            assert w0[i] == tabulate(RealizedElection(kappa, realized), tie_break=order)[0]
+            realized[ballot] = realized.get(ballot, 0) + 1
+            win, drops = tabulate(RealizedElection(kappa, realized), tie_break=order)
+            assert w1[i] == win
+            survivor = next((c for c in ballot if c not in drops[: kappa - 2]), None)
+            assert (extra[final[i]] == w1[i]) == (survivor == win)
