@@ -86,6 +86,27 @@ def _utility_vector(
     return tuple(vals)
 
 
+def _read_json(data, what: str, field: str, number: type) -> tuple:
+    """``(kappa, entries, max_length)`` from a profile's or an election's JSON.
+
+    ``entries`` holds one ``(ranking, value)`` pair per entry of the list
+    under ``field + "s"``, repeats included.  A missing field raises a
+    ``ValueError`` that names it; JSON of the wrong shape raises one that
+    shows the expected shape.
+    """
+    try:
+        entries = [(_as_ranking(e["ranking"]), number(e[field])) for e in data[field + "s"]]
+        max_length = data.get("L")
+        return int(data["kappa"]), entries, None if max_length is None else int(max_length)
+    except KeyError as exc:
+        raise ValueError(f"{what} lacks the {exc.args[0]!r} field") from None
+    except TypeError:
+        raise ValueError(
+            f'malformed {what}: expected {{"kappa": int, "{field}s": '
+            f'[{{"ranking": [candidate ids], "{field}": number}}, ...]}}'
+        ) from None
+
+
 def admissible_rankings(
     kappa: int, max_length: int | None = None, full_length_only: bool = False
 ) -> list[Ranking]:
@@ -119,19 +140,20 @@ class BallotProfile:
 
     Args:
         kappa: Number of candidates (at least 2).
-        rates: Mapping from ranking to a nonnegative expected count.
+        rates: Mapping from ranking to a nonnegative expected count, or
+            ``(ranking, rate)`` pairs; repeated rankings add up.
         max_length: Longest ranking voters may cast; defaults to ``kappa``.
     """
 
     def __init__(
         self,
         kappa: int,
-        rates: Mapping[Sequence[int], float],
+        rates: Mapping[Sequence[int], float] | Iterable[tuple[Sequence[int], float]],
         max_length: int | None = None,
     ):
         self.kappa, self.max_length = _check_limits(kappa, max_length)
         cleaned: dict[Ranking, float] = {}
-        for key, rate in rates.items():
+        for key, rate in rates.items() if isinstance(rates, Mapping) else rates:
             ranking = _as_ranking(key)
             _validate_ranking(ranking, self.kappa, self.max_length)
             rate = float(rate)
@@ -162,12 +184,7 @@ class BallotProfile:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BallotProfile":
-        try:
-            rates = {tuple(e["ranking"]): e["rate"] for e in data["rates"]}
-            kappa = data["kappa"]
-        except KeyError as exc:
-            raise ValueError(f"profile lacks the {exc.args[0]!r} field") from None
-        return cls(kappa, rates, data.get("L"))
+        return cls(*_read_json(data, "profile", "rate", float))
 
     def dump(self, path) -> None:
         with open(path, "w") as fh:
@@ -200,12 +217,12 @@ class RealizedElection:
     def __init__(
         self,
         kappa: int,
-        counts: Mapping[Sequence[int], int],
+        counts: Mapping[Sequence[int], int] | Iterable[tuple[Sequence[int], int]],
         max_length: int | None = None,
     ):
         self.kappa, self.max_length = _check_limits(kappa, max_length)
         cleaned: dict[Ranking, int] = {}
-        for key, count in counts.items():
+        for key, count in counts.items() if isinstance(counts, Mapping) else counts:
             ranking = _as_ranking(key)
             _validate_ranking(ranking, self.kappa, self.max_length)
             count = int(count)
@@ -226,8 +243,7 @@ class RealizedElection:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RealizedElection":
-        counts = {tuple(e["ranking"]): e["count"] for e in data["counts"]}
-        return cls(data["kappa"], counts, data.get("L"))
+        return cls(*_read_json(data, "election", "count", int))
 
     def __repr__(self) -> str:
         return (

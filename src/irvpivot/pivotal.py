@@ -13,13 +13,15 @@ evaluated at the vote totals of the round where the drop happens, times a
 fair-coin tie term at the round where the single added vote matters.  All
 probabilities come from the Skellam kernel and the expected vote totals of
 the ballot profile; pairwise comparisons within and across rounds are
-multiplied as if independent.
+multiplied as if independent.  A sequence's score does not depend on the
+ballot, so :class:`PivotCalculator` scores each one once per profile, in a
+table that every ballot's report reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Sequence
 
@@ -190,13 +192,16 @@ def enumerate_alternates(
 
 
 class PivotCalculator:
-    """Caches per-profile quantities shared across ballots.
+    """Scores a profile's pivotal events once and sums them per ballot.
 
-    Expected totals, pairwise comparison probabilities, tie terms, sequence
-    products, and alternate enumerations all depend only on the profile, so
-    scanning many ballots against one profile reuses them.  All sums over
-    events use exact accumulation (``math.fsum``) so results do not depend
-    on enumeration order.
+    An event's probability depends only on the profile; the ballot only
+    decides which events count.  One table, filled on first use, maps a
+    direct event's elimination order to its probability and an indirect
+    ``(base, round_index)`` group to its ``(alternate, displaced, suffix,
+    probability)`` tuples.  It rests on caches of expected totals, pairwise
+    comparisons and tie terms.  A report sums plain floats from the table
+    with ``math.fsum``, so results do not depend on enumeration order, and
+    builds event objects only when asked for them.
 
     Args:
         profile: Expected ballot counts.
@@ -220,9 +225,7 @@ class PivotCalculator:
         self._totals: dict[tuple[int, frozenset[int]], float] = {}
         self._beats: dict[tuple[int, int, frozenset[int]], float] = {}
         self._ties: dict[tuple[int, int, frozenset[int]], tuple[float, float]] = {}
-        self._seq: dict[tuple[tuple[int, ...], bool], float] = {}
-        self._suffix: dict[tuple[tuple[int, ...], int], float] = {}
-        self._alternates: dict[tuple[tuple[int, ...], int], list] = {}
+        self._events: dict[tuple, float | list] = {}
 
     # -- cached primitives -------------------------------------------------
 
@@ -259,6 +262,17 @@ class PivotCalculator:
             self._ties[key] = val
         return val
 
+    def _round_product(self, order: tuple[int, ...], first: int, last: int) -> float:
+        """Product over rounds ``first..last`` (1-based) of "every later
+        candidate beats the one dropped now", at that round's totals."""
+        val = 1.0
+        for rnd in range(first, last + 1):
+            dropped = frozenset(order[: rnd - 1])
+            loser = order[rnd - 1]
+            for survivor in order[rnd:]:
+                val *= self.beats(survivor, loser, dropped)
+        return val
+
     def sequence_prob(self, order: tuple[int, ...], full: bool) -> float:
         """Probability that eliminations follow ``order``.
 
@@ -268,108 +282,71 @@ class PivotCalculator:
         the final-round comparison is left out, for callers that replace it
         with a tie term.
         """
-        key = (order, full)
-        val = self._seq.get(key)
-        if val is None:
-            kappa = len(order)
-            last_round = kappa - 1 if full else kappa - 2
-            val = 1.0
-            for rnd in range(1, last_round + 1):
-                dropped = frozenset(order[: rnd - 1])
-                loser = order[rnd - 1]
-                for survivor in order[rnd:]:
-                    val *= self.beats(survivor, loser, dropped)
-            self._seq[key] = val
-        return val
+        return self._round_product(order, 1, len(order) - 1 if full else len(order) - 2)
 
-    def suffix_prob(self, alternate: tuple[int, ...], round_index: int) -> float:
-        """Probability the post-pivot rounds follow the alternate's tail."""
-        key = (alternate, round_index)
-        val = self._suffix.get(key)
-        if val is None:
-            kappa = len(alternate)
-            val = 1.0
-            # Tail rounds run from round_index + 1 up to the final round.
-            for rnd in range(round_index + 1, kappa):
-                dropped = frozenset(alternate[: rnd - 1])
-                loser = alternate[rnd - 1]
-                for survivor in alternate[rnd:]:
-                    val *= self.beats(survivor, loser, dropped)
-            self._suffix[key] = val
-        return val
+    # -- the event table ---------------------------------------------------
 
-    def alternates(self, base: tuple[int, ...], round_index: int) -> list:
+    def _direct(self, order: tuple[int, ...]) -> float:
+        """Probability that the others drop in ``order`` and the added vote
+        decides the final-round tie of ``order[-1]`` against ``order[-2]``."""
+        prob = self._events.get(order)
+        if prob is None:
+            brk, mk = self.tie_pair(order[-1], order[-2], frozenset(order[:-2]))
+            prob = self.sequence_prob(order, full=False) * 0.5 * (brk + mk)
+            self._events[order] = prob
+        return prob
+
+    def _indirect(self, base: tuple[int, ...], round_index: int) -> list:
+        """``(alternate, displaced, suffix, probability)`` for each way of
+        saving ``base[round_index - 1]`` that changes the winner."""
         key = (base, round_index)
-        val = self._alternates.get(key)
-        if val is None:
-            val = enumerate_alternates(base, round_index)
-            self._alternates[key] = val
-        return val
+        group = self._events.get(key)
+        if group is None:
+            saved = base[round_index - 1]
+            tie_dropped = frozenset(base[: round_index - 1])
+            base_prob = self.sequence_prob(base, full=True)
+            group = []
+            for alternate, displaced, suffix in enumerate_alternates(base, round_index):
+                tail = self._round_product(alternate, round_index + 1, len(base) - 1)
+                brk, mk = self.tie_pair(saved, displaced, tie_dropped)
+                prob = base_prob * tail * 0.5 * (brk + mk)
+                group.append((alternate, displaced, suffix, prob))
+            self._events[key] = group
+        return group
 
-    # -- event enumeration -------------------------------------------------
+    def _reach(self, ballot: Ranking):
+        """Yield ``(position, candidate, orders, groups)`` per ballot position.
+
+        The vote reaches the candidate only once everything ranked above
+        has dropped: in the final round, that is unless the opponent is
+        ranked above.  ``orders`` are the direct events' elimination orders
+        (the candidate last) and ``groups`` the ``(base, round_index)``
+        keys of the indirect events that the vote can decide there.
+        """
+        kappa = self.profile.kappa
+        for pos, cand in enumerate(ballot, start=1):
+            above = set(ballot[: pos - 1])
+            orders: list[tuple[int, ...]] = []
+            groups: list[tuple[tuple[int, ...], int]] = []
+            for order in permutations(range(kappa)):
+                rnd = order.index(cand) + 1
+                if rnd == kappa and order[-2] not in above:
+                    orders.append(order)
+                # A save in round kappa - 1 is the final-round contest
+                # itself, which the direct events score.
+                elif rnd <= kappa - 2 and above <= set(order[: rnd - 1]):
+                    groups.append((order, rnd))
+            yield pos, cand, orders, groups
+
+    # -- events and reports ------------------------------------------------
 
     def direct_events(self, ballot: Ranking) -> list[DirectEvent]:
-        kappa = self.profile.kappa
-        events: list[DirectEvent] = []
-        for pos, cand in enumerate(ballot, start=1):
-            ranked_above = set(ballot[: pos - 1])
-            for drops in drop_lists(kappa, cand):
-                # The vote reaches this candidate in the final round only if
-                # everything ranked above them drops before that round.
-                if not ranked_above <= set(drops[: kappa - 2]):
-                    continue
-                order = drops + (cand,)
-                survival = self.sequence_prob(order, full=False)
-                final_dropped = frozenset(drops[: kappa - 2])
-                brk, mk = self.tie_pair(cand, drops[-1], final_dropped)
-                prob = survival * 0.5 * (brk + mk)
-                events.append(
-                    DirectEvent(
-                        position=pos,
-                        candidate=cand,
-                        drops=drops,
-                        runner_up=drops[-1],
-                        probability=prob,
-                    )
-                )
-        return events
+        events = self.report(ballot, with_events=True).events
+        return [e for e in events if isinstance(e, DirectEvent)]
 
     def indirect_events(self, ballot: Ranking) -> list[IndirectEvent]:
-        kappa = self.profile.kappa
-        events: list[IndirectEvent] = []
-        if kappa == 2:
-            return events
-        for pos, cand in enumerate(ballot, start=1):
-            ranked_above = set(ballot[: pos - 1])
-            for base in permutations(range(kappa)):
-                round_index = base.index(cand) + 1
-                # A save in the final round is a direct contest, not a
-                # reordering; later positions cannot be reached at all.
-                if round_index > kappa - 2:
-                    continue
-                if not ranked_above <= set(base[: round_index - 1]):
-                    continue
-                base_prob = self.sequence_prob(base, full=True)
-                tie_dropped = frozenset(base[: round_index - 1])
-                for alternate, displaced, suffix in self.alternates(base, round_index):
-                    tail = self.suffix_prob(alternate, round_index)
-                    brk, mk = self.tie_pair(cand, displaced, tie_dropped)
-                    prob = base_prob * tail * 0.5 * (brk + mk)
-                    events.append(
-                        IndirectEvent(
-                            position=pos,
-                            candidate=cand,
-                            base=base,
-                            round_index=round_index,
-                            alternate=alternate,
-                            displaced=displaced,
-                            suffix=suffix,
-                            probability=prob,
-                        )
-                    )
-        return events
-
-    # -- reports -----------------------------------------------------------
+        events = self.report(ballot, with_events=True).events
+        return [e for e in events if isinstance(e, IndirectEvent)]
 
     def report(
         self,
@@ -378,33 +355,36 @@ class PivotCalculator:
         with_events: bool = False,
     ) -> PivotReport:
         ballot = _check_ballot(self.profile, ballot)
-        direct = self.direct_events(ballot)
-        indirect = self.indirect_events(ballot)
-        p_direct = math.fsum(e.probability for e in direct)
-        p_indirect = math.fsum(e.probability for e in indirect)
-        util = None
-        events: list = list(direct) + list(indirect)
-        if utilities is not None:
-            u = _utility_vector(self.profile.kappa, utilities)
-            events = [
-                _with_swing(e, u[e.candidate] - u[e.runner_up])
-                if isinstance(e, DirectEvent)
-                else _with_swing(e, u[e.alternate[-1]] - u[e.base[-1]])
-                for e in events
-            ]
-            util = math.fsum(e.probability * e.utility_swing for e in events)
+        u = None if utilities is None else _utility_vector(self.profile.kappa, utilities)
+        direct, indirect, gains, direct_ev, indirect_ev = [], [], [], [], []
+        for pos, cand, orders, groups in self._reach(ballot):
+            for order in orders:
+                prob = self._direct(order)
+                direct.append(prob)
+                swing = None if u is None else u[cand] - u[order[-2]]
+                if swing is not None:
+                    gains.append(prob * swing)
+                if with_events:
+                    direct_ev.append(DirectEvent(pos, cand, order[:-1], order[-2], prob, swing))
+            for base, rnd in groups:
+                for entry in self._indirect(base, rnd):
+                    prob = entry[-1]
+                    indirect.append(prob)
+                    swing = None if u is None else u[entry[0][-1]] - u[base[-1]]
+                    if swing is not None:
+                        gains.append(prob * swing)
+                    if with_events:
+                        indirect_ev.append(IndirectEvent(pos, cand, base, rnd, *entry, swing))
+        p_direct = math.fsum(direct)
+        p_indirect = math.fsum(indirect)
         return PivotReport(
             ballot=ballot,
             p_direct=p_direct,
             p_indirect=p_indirect,
             p_total=p_direct + p_indirect,
-            expected_utility=util,
-            events=events if with_events else None,
+            expected_utility=None if u is None else math.fsum(gains),
+            events=direct_ev + indirect_ev if with_events else None,
         )
-
-
-def _with_swing(event, swing: float):
-    return replace(event, utility_swing=swing)
 
 
 # -- module-level operations ----------------------------------------------

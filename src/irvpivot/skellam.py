@@ -38,17 +38,6 @@ class Tolerance:
         if not (0.0 < self.tail_eps < 1.0):
             raise ValueError(f"tail_eps must be in (0, 1), got {self.tail_eps}")
 
-    # Number of standard deviations of Poisson spread to keep on each side
-    # of a sum's peak.  12 sigma + 40 terms leaves tail mass far below any
-    # tail_eps down to ~1e-30, so the window never has to adapt to eps.
-    @property
-    def _sigmas(self) -> float:
-        return 12.0
-
-    @property
-    def _pad(self) -> int:
-        return 40
-
 
 DEFAULT_TOLERANCE = Tolerance()
 
@@ -68,17 +57,28 @@ def _pois_logpmf(ms: np.ndarray, lam: float) -> np.ndarray:
         return ms * np.log(lam) - lam - gammaln(ms + 1.0)
 
 
-def _pmf_window(w: float, lam1: float, lam2: float, tol: Tolerance) -> tuple[int, int]:
+def _window(lo_center: float, hi_center: float, variance: float) -> tuple[int, int]:
+    """Count range ``lo..hi`` kept when a sum over Poisson counts is cut off.
+
+    The margin beyond ``lo_center`` and ``hi_center`` is 12 standard
+    deviations of a spread with this ``variance``, plus 40 terms; ``lo`` is
+    clamped at 0.  That leaves tail mass far below any ``tail_eps`` down to
+    ~1e-30, so the window does not adapt to eps.
+    """
+    half = 12.0 * np.sqrt(variance) + 40
+    return max(0, int(np.floor(lo_center - half))), int(np.ceil(hi_center + half))
+
+
+def _pmf_window(w: float, lam1: float, lam2: float) -> tuple[int, int]:
     """Index range of Y-values carrying the mass of the convolution at w."""
     # Peak of the summand over m: (m + w) * m ~= lam1 * lam2.
     mstar = 0.5 * (-w + np.sqrt(w * w + 4.0 * lam1 * lam2))
-    half = tol._sigmas * np.sqrt(lam1 + lam2 + abs(w)) + tol._pad
-    lo = max(0, int(-w), int(np.floor(mstar - half)))
-    hi = max(lo, int(np.ceil(mstar + half)))
-    return lo, hi
+    lo, hi = _window(mstar, mstar, lam1 + lam2 + abs(w))
+    lo = max(lo, int(-w))
+    return lo, max(lo, hi)
 
 
-def _skellam_pmf_many(ws: np.ndarray, lam1: float, lam2: float, tol: Tolerance) -> np.ndarray:
+def _skellam_pmf_many(ws: np.ndarray, lam1: float, lam2: float) -> np.ndarray:
     """Skellam pmf at every integer in ``ws`` (vectorized convolution)."""
     ws = np.asarray(ws, dtype=np.int64)
     if lam1 == 0.0 and lam2 == 0.0:
@@ -90,8 +90,8 @@ def _skellam_pmf_many(ws: np.ndarray, lam1: float, lam2: float, tol: Tolerance) 
         out = np.exp(_pois_logpmf(-ws.astype(float), lam2))
         return np.where(ws <= 0, out, 0.0)
 
-    lo, hi = _pmf_window(float(ws.min()), lam1, lam2, tol)
-    lo2, hi2 = _pmf_window(float(ws.max()), lam1, lam2, tol)
+    lo, hi = _pmf_window(float(ws.min()), lam1, lam2)
+    lo2, hi2 = _pmf_window(float(ws.max()), lam1, lam2)
     ms = np.arange(min(lo, lo2), max(hi, hi2) + 1, dtype=float)
     logy = _pois_logpmf(ms, lam2)
     # logs[i, j] = log P(X = w_i + m_j) + log P(Y = m_j)
@@ -117,7 +117,7 @@ def skellam_pmf(w: int, lam1: float, lam2: float, tol: Tolerance = DEFAULT_TOLER
     """
     lam1 = _check_rate(lam1, "lam1")
     lam2 = _check_rate(lam2, "lam2")
-    return float(_skellam_pmf_many(np.array([int(w)]), lam1, lam2, tol)[0])
+    return float(_skellam_pmf_many(np.array([int(w)]), lam1, lam2)[0])
 
 
 def prob_strictly_greater(
@@ -140,9 +140,7 @@ def prob_strictly_greater(
     if lam_b == 0.0:
         # Y is 0 almost surely: P(X >= 1).
         return float(-np.expm1(-lam_a))
-    half = tol._sigmas * np.sqrt(lam_b) + tol._pad
-    lo = max(0, int(np.floor(lam_b - half)))
-    hi = int(np.ceil(lam_b + half))
+    lo, hi = _window(lam_b, lam_b, lam_b)
     ms = np.arange(lo, hi + 1, dtype=float)
     weights = np.exp(_pois_logpmf(ms, lam_b))
     # gammainc(m + 1, lam) is P(Poisson(lam) >= m + 1).
@@ -166,5 +164,5 @@ def tie_terms(
     """
     lam_c = _check_rate(lam_c, "lam_c")
     lam_opp = _check_rate(lam_opp, "lam_opp")
-    vals = _skellam_pmf_many(np.array([0, -1]), lam_c, lam_opp, tol)
+    vals = _skellam_pmf_many(np.array([0, -1]), lam_c, lam_opp)
     return float(vals[0]), float(vals[1])

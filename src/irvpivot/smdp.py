@@ -19,7 +19,7 @@ from scipy.special import gammaincc
 
 from .elections import BallotProfile
 from .skellam import DEFAULT_TOLERANCE, Tolerance, prob_strictly_greater, tie_terms
-from .skellam import _pois_logpmf
+from .skellam import _pois_logpmf, _window
 
 __all__ = ["SmdpReport", "first_choice_rates", "smdp_pivot_prob", "smdp_reports"]
 
@@ -97,9 +97,7 @@ def smdp_pivot_prob(
     total = 0.0
     for j in others:
         lam_j = lams[j]
-        span = tol._sigmas * math.sqrt(max(lam_c, lam_j) + 1.0) + tol._pad
-        lo = max(0, int(math.floor(min(lam_c, lam_j) - span)))
-        hi = int(math.ceil(max(lam_c, lam_j) + span))
+        lo, hi = _window(min(lam_c, lam_j), max(lam_c, lam_j), max(lam_c, lam_j) + 1.0)
         ms = np.arange(lo, hi + 1, dtype=float)
         p_j = np.exp(_pois_logpmf(ms, lam_j))
         p_c_eq = np.exp(_pois_logpmf(ms, lam_c))

@@ -128,3 +128,12 @@ def test_malformed_profile_message(tmp_path):
     res = run_cli("compute", "--profile", str(path), "--ballot", "0")
     assert res.returncode != 0
     assert res.stderr.strip() == "pivot: profile lacks the 'rates' field"
+
+
+def test_malformed_profile_entry_message(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kappa": 3, "rates": [{"ranking": 0, "rate": 1.0}]}')
+    res = run_cli("compute", "--profile", str(path), "--ballot", "0")
+    assert res.returncode == 1
+    assert res.stderr.startswith("pivot: malformed profile")
+    assert "Traceback" not in res.stderr

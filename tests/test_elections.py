@@ -58,6 +58,40 @@ def test_realized_json_round_trip(tmp_path):
     assert back.counts == realized.counts
 
 
+def test_from_dict_sums_repeated_rankings():
+    data = {"kappa": 2, "rates": [{"ranking": [0], "rate": 1.0}, {"ranking": [0], "rate": 2.0}]}
+    assert BallotProfile.from_dict(data).rates == {(0,): 3.0}
+    data = {"kappa": 2, "counts": [{"ranking": [1], "count": 4}, {"ranking": [1], "count": 5}]}
+    assert RealizedElection.from_dict(data).counts == {(1,): 9}
+    # Each entry is range-checked on its own, before any adding up.
+    data = {"kappa": 2, "rates": [{"ranking": [0], "rate": 5.0}, {"ranking": [0], "rate": -3.0}]}
+    with pytest.raises(ValueError, match=">= 0"):
+        BallotProfile.from_dict(data)
+
+
+@pytest.mark.parametrize("cls,field", [(BallotProfile, "rate"), (RealizedElection, "count")])
+def test_from_dict_rejects_malformed_json(cls, field):
+    for missing in ("kappa", field + "s", "ranking", field):
+        entry = {"ranking": [0], field: 1}
+        data = {"kappa": 3, field + "s": [entry]}
+        data.pop(missing, None)
+        entry.pop(missing, None)
+        with pytest.raises(ValueError, match=f"lacks the '{missing}' field"):
+            cls.from_dict(data)
+    malformed = [
+        [{"ranking": [0], field: 1}],
+        {"kappa": 3, field + "s": [{"ranking": 0, field: 1}]},
+        {"kappa": 3, field + "s": [[0, 1]]},
+        {"kappa": 3, field + "s": 7},
+        {"kappa": 3, field + "s": [{"ranking": [0], field: None}]},
+        {"kappa": None, field + "s": []},
+        {"kappa": 3, "L": [2], field + "s": []},
+    ]
+    for data in malformed:
+        with pytest.raises(ValueError, match="malformed"):
+            cls.from_dict(data)
+
+
 def test_conditional_support_examples():
     prof = BallotProfile(2, {(0,): 5.0})
     assert conditional_support(prof, 0, 1, []) == 5.0

@@ -3,6 +3,7 @@
 import math
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from irvpivot import (
@@ -10,6 +11,7 @@ from irvpivot import (
     DirectEvent,
     IndirectEvent,
     OracleConfig,
+    admissible_rankings,
     best_ballot,
     direct_pivot_prob,
     drop_sequence_prob,
@@ -316,8 +318,6 @@ def test_best_ballot_matches_exhaustive_search():
     prof = dirichlet_profile(3, 45.0, seed=12)
     u = [1.0, 0.6, 0.0]
     choice, rep = best_ballot(prof, u)
-    from irvpivot import admissible_rankings
-
     scored = {
         b: expected_utility(prof, b, u) for b in admissible_rankings(3)
     }
@@ -366,3 +366,73 @@ def test_ballot_validation():
         total_pivot_prob(prof, [5])
     with pytest.raises(ValueError):
         total_pivot_prob(prof, [])
+
+
+# -- pinned outputs ----------------------------------------------------------
+
+
+def truncated4() -> BallotProfile:
+    rankings = admissible_rankings(4, 2)
+    w = np.random.default_rng(2).dirichlet(4.0 * np.ones(len(rankings)))
+    return BallotProfile(4, dict(zip(rankings, 90.0 * w)), max_length=2)
+
+
+PINNED_PROFILES = {
+    "k3": lambda: dirichlet_profile(3, 60.0, seed=7),
+    "k4": lambda: dirichlet_profile(4, 120.0, seed=4),
+    "k5": lambda: dirichlet_profile(5, 200.0, seed=5),
+    "k4L2": truncated4,
+}
+PINNED_UTILITIES = (1.0, 0.25, 0.6, 0.0, 0.8)
+# (profile, sequence_ties, ballot, p_direct, p_indirect, p_total, expected_utility)
+PINNED = [
+    ('k3', False, (0,), 0.0190867149956501, 0.010521061874495648, 0.02960777687014575, 0.00904979452042747),
+    ('k3', False, (1, 2), 0.030706559992753818, 0.0058903575199200035, 0.03659691751267382, -0.013077654140170628),
+    ('k3', False, (2, 0, 1), 0.030889968323048567, 0.0018941254045326005, 0.03278409372758117, 0.003457349124870184),
+    ('k4', False, (3,), 0.014020246695258528, 0.0009744792096892714, 0.0149947259049478, -0.009273265410116522),
+    ('k4', False, (0, 2), 0.01583376430573026, 0.010733935042276049, 0.02656769934800631, 0.012382732452561314),
+    ('k4', False, (1, 3, 0, 2), 0.016178547696229447, 0.012105862553703441, 0.02828441024993289, -0.005767157704723041),
+    ('k4', True, (0, 2), 0.018315300418551266, 0.013891527935437298, 0.03220682835398857, 0.014330411567155326),
+    ('k4', True, (1, 3, 0, 2), 0.018839527934235496, 0.015948200478281674, 0.03478772841251717, -0.006339425644731993),
+    ('k5', False, (4,), 0.003061107744890995, 0.002344529285273956, 0.005405637030164951, 0.0014372106150166229),
+    ('k5', False, (2, 0, 3), 0.003755313234882052, 0.0037229234675956527, 0.0074782367024777046, -0.0002223076149712478),
+    ('k5', False, (0, 1, 2, 3, 4), 0.005695177950401911, 0.007578042959169449, 0.01327322090957136, -0.001973712748496287),
+    ('k5', True, (3, 1), 0.0065014701296167605, 0.007424562306807178, 0.013926032436423938, -0.003670087669374537),
+    ('k4L2', False, (2,), 0.006182011664763021, 0.003583043791441651, 0.009765055456204673, 0.0014031268098000048),
+    ('k4L2', False, (1, 3), 0.007689655159452328, 0.010817153015391028, 0.018506808174843355, -0.004999257518350464),
+]
+
+
+@pytest.mark.parametrize("name,sequence_ties,ballot,p_direct,p_indirect,p_total,eu", PINNED)
+def test_report_pinned_values(name, sequence_ties, ballot, p_direct, p_indirect, p_total, eu):
+    # Recorded from the engine that scored every event once per ballot; any
+    # change to the event arithmetic or the summation shows up here.
+    prof = PINNED_PROFILES[name]()
+    calc = PivotCalculator(prof, sequence_ties=sequence_ties)
+    rep = calc.report(ballot, PINNED_UTILITIES[: prof.kappa])
+    assert (rep.p_direct, rep.p_indirect, rep.p_total, rep.expected_utility) == (
+        p_direct, p_indirect, p_total, eu,
+    )
+    # A calculator that has already scored other ballots gives the same bits.
+    warm = PivotCalculator(prof, sequence_ties=sequence_ties)
+    for other in admissible_rankings(prof.kappa, prof.max_length):
+        warm.report(other)
+    again = warm.report(ballot, PINNED_UTILITIES[: prof.kappa])
+    assert (again.p_direct, again.p_indirect, again.expected_utility) == (p_direct, p_indirect, eu)
+
+
+@pytest.mark.parametrize("name,sequence_ties,ballot", [c[:3] for c in PINNED])
+def test_event_list_agrees_with_report_sums(name, sequence_ties, ballot):
+    prof = PINNED_PROFILES[name]()
+    calc = PivotCalculator(prof, sequence_ties=sequence_ties)
+    u = PINNED_UTILITIES[: prof.kappa]
+    rep = calc.report(ballot, u, with_events=True)
+    direct = [e for e in rep.events if isinstance(e, DirectEvent)]
+    indirect = [e for e in rep.events if isinstance(e, IndirectEvent)]
+    assert len(direct) + len(indirect) == len(rep.events)
+    assert math.fsum(e.probability for e in direct) == rep.p_direct
+    assert math.fsum(e.probability for e in indirect) == rep.p_indirect
+    assert math.fsum(e.probability * e.utility_swing for e in rep.events) == rep.expected_utility
+    assert [e.probability for e in direct] == [e.probability for e in calc.direct_events(ballot)]
+    assert [e.probability for e in indirect] == [e.probability for e in calc.indirect_events(ballot)]
+    assert calc.report(ballot).events is None
