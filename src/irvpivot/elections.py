@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -32,8 +34,23 @@ IRV = "IRV"
 SMDP = "SMDP"
 
 
+def _integral(value, what: str) -> int:
+    """``value`` as an int, if it is an int, a numpy integer or a float with
+    no fractional part.  Another number raises a ``ValueError`` and a
+    non-number a ``TypeError``; both name the value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        pass
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_ranking(seq: Iterable[int]) -> Ranking:
-    return tuple(int(c) for c in seq)
+    return tuple(_integral(c, "candidate id") for c in seq)
 
 
 def _validate_ranking(ranking: Ranking, kappa: int, max_length: int) -> None:
@@ -50,13 +67,13 @@ def _validate_ranking(ranking: Ranking, kappa: int, max_length: int) -> None:
 
 def _check_limits(kappa: int, max_length: int | None) -> tuple[int, int]:
     """Validated (kappa, max_length); ``max_length`` defaults to ``kappa``."""
+    kappa = _integral(kappa, "kappa")
     if kappa < 2:
         raise ValueError(f"kappa must be at least 2, got {kappa}")
-    if max_length is None:
-        max_length = kappa
+    max_length = kappa if max_length is None else _integral(max_length, "max_length")
     if not 1 <= max_length <= kappa:
         raise ValueError(f"max_length must be in 1..{kappa}, got {max_length}")
-    return int(kappa), int(max_length)
+    return kappa, max_length
 
 
 def _check_ballot(profile: "BallotProfile", ballot: Sequence[int]) -> Ranking:
@@ -97,7 +114,11 @@ def _read_json(data, what: str, field: str, number: type) -> tuple:
     try:
         entries = [(_as_ranking(e["ranking"]), number(e[field])) for e in data[field + "s"]]
         max_length = data.get("L")
-        return int(data["kappa"]), entries, None if max_length is None else int(max_length)
+        return (
+            _integral(data["kappa"], "kappa"),
+            entries,
+            None if max_length is None else _integral(max_length, "max_length"),
+        )
     except KeyError as exc:
         raise ValueError(f"{what} lacks the {exc.args[0]!r} field") from None
     except TypeError:
@@ -225,7 +246,7 @@ class RealizedElection:
         for key, count in counts.items() if isinstance(counts, Mapping) else counts:
             ranking = _as_ranking(key)
             _validate_ranking(ranking, self.kappa, self.max_length)
-            count = int(count)
+            count = _integral(count, f"count for {ranking!r}")
             if count < 0:
                 raise ValueError(f"count for {ranking!r} must be >= 0, got {count}")
             cleaned[ranking] = cleaned.get(ranking, 0) + count
@@ -243,7 +264,7 @@ class RealizedElection:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RealizedElection":
-        return cls(*_read_json(data, "election", "count", int))
+        return cls(*_read_json(data, "election", "count", lambda v: _integral(v, "count")))
 
     def __repr__(self) -> str:
         return (

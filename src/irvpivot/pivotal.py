@@ -13,21 +13,29 @@ evaluated at the vote totals of the round where the drop happens, times a
 fair-coin tie term at the round where the single added vote matters.  All
 probabilities come from the Skellam kernel and the expected vote totals of
 the ballot profile; pairwise comparisons within and across rounds are
-multiplied as if independent.  A sequence's score does not depend on the
-ballot, so :class:`PivotCalculator` scores each one once per profile, in a
-table that every ballot's report reads.
+multiplied as if independent.  An event's score does not depend on the
+ballot, only which events a ballot position can decide does, and that
+depends only on the candidate there and the set ranked above it.
+:class:`PivotCalculator` therefore evaluates the events of each such key
+as numpy arrays, from a per-kappa index plan of the comparisons and tie
+terms each event multiplies, in the scalar path's order of operations, so
+every event keeps its bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .elections import (
     BallotProfile,
     Ranking,
+    _as_ranking,
     _check_ballot,
     _utility_vector,
     admissible_rankings,
@@ -164,7 +172,7 @@ def enumerate_alternates(
         ``suffix`` is the part of the alternate after the displaced
         candidate.
     """
-    base = tuple(int(c) for c in base)
+    base = _as_ranking(base)
     kappa = len(base)
     if len(set(base)) != kappa:
         raise ValueError(f"base sequence {base!r} repeats a candidate")
@@ -191,17 +199,183 @@ def enumerate_alternates(
     return out
 
 
+def _walk(kappa: int, cand: int, above: frozenset[int]):
+    """The events a vote for ``cand`` can decide once ``above`` has dropped.
+
+    Returns ``(orders, groups)`` in report order.  ``orders`` are the
+    direct events' elimination orders (``cand`` last): the vote reaches
+    ``cand`` in the final round unless the opponent is ranked above.
+    ``groups`` holds a ``(base, round_index, alternates)`` triple for each
+    order that drops ``cand`` in a round the vote can decide, with the
+    :func:`enumerate_alternates` of that save.
+    """
+    orders, groups = [], []
+    for order in permutations(range(kappa)):
+        rnd = order.index(cand) + 1
+        if rnd == kappa and order[-2] not in above:
+            orders.append(order)
+        # A save in round kappa - 1 is the final-round contest itself,
+        # which the direct events score.
+        elif rnd <= kappa - 2 and above <= set(order[: rnd - 1]):
+            groups.append((order, rnd, enumerate_alternates(order, rnd)))
+    return orders, groups
+
+
+def _pack(first, second, mask, kappa: int):
+    """Dense index of a ``(first, second, dropped)`` triple, ``dropped`` as
+    a bitmask; works elementwise on arrays."""
+    return (mask * kappa + second) * kappa + first
+
+
+def _prefix_masks(orders: np.ndarray) -> np.ndarray:
+    """``masks[:, r]`` is the bitmask of the first ``r`` entries of each order."""
+    masks = np.zeros(orders.shape, dtype=np.int64)
+    np.cumsum(np.left_shift(1, orders[:, :-1]), axis=1, out=masks[:, 1:])
+    return masks
+
+
+def _fold_columns(orders: np.ndarray, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """The comparison column of every factor that
+    :meth:`PivotCalculator._round_product` multiplies over rounds
+    ``1..last`` of each order, one row per factor in fold order, and the
+    round of each row."""
+    kappa = orders.shape[1]
+    masks = _prefix_masks(orders)
+    rows, rounds = [], []
+    for rnd in range(1, last + 1):
+        for later in range(rnd, kappa):
+            rows.append(1 + _pack(orders[:, later], orders[:, rnd - 1], masks[:, rnd - 1], kappa))
+            rounds.append(rnd)
+    cols = np.array(rows, dtype=np.int64).reshape(len(rows), len(orders))
+    return cols, np.array(rounds, dtype=np.int64)
+
+
+def _fold(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per event, the left fold from 1.0 of its factors ``values[cols[:, e]]``:
+    the arithmetic of :meth:`PivotCalculator._round_product` on arrays."""
+    out = np.ones(cols.shape[1])
+    for row in cols:
+        out *= values[row]
+    return out
+
+
+def _fsum(arrays: list[np.ndarray]) -> float:
+    return math.fsum(np.concatenate(arrays).tolist())
+
+
+def _listed(swings: np.ndarray | None, probs: np.ndarray) -> list:
+    """Per-event utility swings as floats, or ``None`` per event without utilities."""
+    return [None] * len(probs) if swings is None else swings.tolist()
+
+
+class _KeyPlan(NamedTuple):
+    """Index arrays of the events a vote decides at one ``(candidate,
+    set ranked above)`` key, in report order.  ``*_cols`` hold comparison
+    columns, one row per factor and one column per event; ``*_ties`` hold
+    tie rows."""
+
+    direct_cols: np.ndarray  # survival factors of each direct event
+    direct_ties: np.ndarray  # its final-round tie
+    runner_up: np.ndarray  # its final-round opponent
+    base_cols: np.ndarray  # every round of each group's base order
+    group: np.ndarray  # the group of each indirect event
+    tail_cols: np.ndarray  # the alternate's rounds after the save; 0 pads
+    indirect_ties: np.ndarray  # the saved candidate's last-place tie
+    new_winner: np.ndarray  # the alternate's winner
+    old_winner: np.ndarray  # the base order's winner
+    cols: np.ndarray  # every column used above, once
+    ties: np.ndarray  # every tie row used above, once
+
+
+class _Plan:
+    """The index plan of one kappa, shared by every calculator of that kappa.
+
+    A calculator's reports read two vectors.  Column ``1 + _pack(winner,
+    loser, dropped)`` of the comparison vector holds ``beats(winner, loser,
+    dropped)``, and column 0 holds the 1.0 that pads a fold.  Row
+    ``_pack(candidate, opponent, dropped)`` of the tie vector holds ``brk +
+    mk`` from ``tie_pair(candidate, opponent, dropped)``.  The plan lists
+    per key, built on first use, the indices its events read; it holds
+    narrow integer arrays only.
+    """
+
+    def __init__(self, kappa: int):
+        self.kappa = kappa
+        self.size = kappa * kappa << kappa
+        self._index = np.min_scalar_type(self.size)
+        self._keys: dict[tuple[int, int], _KeyPlan] = {}
+
+    def dropped(self, mask: int) -> frozenset[int]:
+        return frozenset(c for c in range(self.kappa) if mask >> c & 1)
+
+    def unpack(self, index: int) -> tuple[int, int, frozenset[int]]:
+        """The ``(first, second, dropped)`` triple of a packed index."""
+        k = self.kappa
+        return index % k, index // k % k, self.dropped(index // (k * k))
+
+    def key(self, cand: int, above: int) -> _KeyPlan:
+        plan = self._keys.get((cand, above))
+        if plan is None:
+            plan = self._keys[cand, above] = self._build(cand, above)
+        return plan
+
+    def _build(self, cand: int, above: int) -> _KeyPlan:
+        kappa = self.kappa
+        orders, groups = _walk(kappa, cand, self.dropped(above))
+        direct = np.array(orders, dtype=np.int64).reshape(-1, kappa)
+        direct_cols, _ = _fold_columns(direct, kappa - 2)
+        direct_ties = _pack(direct[:, -1], direct[:, -2], _prefix_masks(direct)[:, -2], kappa)
+
+        base = np.array([g[0] for g in groups], dtype=np.int64).reshape(-1, kappa)
+        base_cols, _ = _fold_columns(base, kappa - 1)
+        sizes = [len(g[2]) for g in groups]
+        group = np.repeat(np.arange(len(groups)), sizes)
+        saved = np.repeat(np.array([g[1] for g in groups], dtype=np.int64), sizes)
+        alt = np.array([a for g in groups for a, _, _ in g[2]], dtype=np.int64).reshape(-1, kappa)
+        tail_cols, rounds = _fold_columns(alt, kappa - 1)
+        tail_cols = np.where(rounds[:, None] > saved, tail_cols, 0)
+        # Rows up to the earliest save hold padding only.
+        tail_cols = tail_cols[rounds > saved.min(initial=kappa)]
+        at_save = (np.arange(len(alt)), saved - 1)
+        indirect_ties = _pack(cand, alt[at_save], _prefix_masks(alt)[at_save], kappa)
+
+        cols = np.unique(np.concatenate([a.ravel() for a in (direct_cols, base_cols, tail_cols)]))
+        ties = np.unique(np.concatenate([direct_ties, indirect_ties]))
+        idx = self._index
+        return _KeyPlan(
+            direct_cols=direct_cols.astype(idx),
+            direct_ties=direct_ties.astype(idx),
+            runner_up=direct[:, -2].astype(np.int8),
+            base_cols=base_cols.astype(idx),
+            group=group.astype(np.min_scalar_type(len(groups))),
+            tail_cols=tail_cols.astype(idx),
+            indirect_ties=indirect_ties.astype(idx),
+            new_winner=alt[:, -1].astype(np.int8),
+            old_winner=base[group, -1].astype(np.int8),
+            cols=cols[cols > 0].astype(idx),
+            ties=ties.astype(idx),
+        )
+
+
+@functools.cache
+def _plan(kappa: int) -> _Plan:
+    return _Plan(kappa)
+
+
 class PivotCalculator:
-    """Scores a profile's pivotal events once and sums them per ballot.
+    """Scores a profile's pivotal events as arrays and sums them per ballot.
 
     An event's probability depends only on the profile; the ballot only
-    decides which events count.  One table, filled on first use, maps a
-    direct event's elimination order to its probability and an indirect
-    ``(base, round_index)`` group to its ``(alternate, displaced, suffix,
-    probability)`` tuples.  It rests on caches of expected totals, pairwise
-    comparisons and tie terms.  A report sums plain floats from the table
-    with ``math.fsum``, so results do not depend on enumeration order, and
-    builds event objects only when asked for them.
+    decides which events count, through the ``(candidate, set ranked
+    above)`` key of each position.  A per-kappa index plan lists, per key,
+    the comparison columns and tie rows each event multiplies.  A report
+    fills the key's missing columns and rows through :meth:`beats` and
+    :meth:`tie_pair`, which cache expected totals, pairwise comparisons and
+    tie terms, and evaluates the key's events with the left fold of
+    :meth:`_round_product`, so every event gets the same IEEE product as
+    the scalar path.  The probability arrays are kept per key.  A report
+    sums them with ``math.fsum``, so results do not depend on enumeration
+    order, and builds event objects only when asked for them.
 
     Args:
         profile: Expected ballot counts.
@@ -225,7 +399,12 @@ class PivotCalculator:
         self._totals: dict[tuple[int, frozenset[int]], float] = {}
         self._beats: dict[tuple[int, int, frozenset[int]], float] = {}
         self._ties: dict[tuple[int, int, frozenset[int]], tuple[float, float]] = {}
-        self._events: dict[tuple, float | list] = {}
+        self._plan = _plan(profile.kappa)
+        # The comparison and tie vectors of _Plan, made by the first report
+        # (their length grows as 2**kappa, and the scalar path needs neither).
+        self._cols: np.ndarray | None = None
+        self._tie_sums: np.ndarray | None = None
+        self._probs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- cached primitives -------------------------------------------------
 
@@ -284,59 +463,37 @@ class PivotCalculator:
         """
         return self._round_product(order, 1, len(order) - 1 if full else len(order) - 2)
 
-    # -- the event table ---------------------------------------------------
+    # -- events of one key -------------------------------------------------
 
-    def _direct(self, order: tuple[int, ...]) -> float:
-        """Probability that the others drop in ``order`` and the added vote
-        decides the final-round tie of ``order[-1]`` against ``order[-2]``."""
-        prob = self._events.get(order)
-        if prob is None:
-            brk, mk = self.tie_pair(order[-1], order[-2], frozenset(order[:-2]))
-            prob = self.sequence_prob(order, full=False) * 0.5 * (brk + mk)
-            self._events[order] = prob
-        return prob
+    def _fill(self, plan: _KeyPlan) -> None:
+        """Fill the key's comparison columns and tie rows not filled yet."""
+        if self._cols is None:
+            # NaN marks an entry not filled yet.
+            self._cols = np.full(self._plan.size + 1, np.nan)
+            self._cols[0] = 1.0
+            self._tie_sums = np.full(self._plan.size, np.nan)
+        for i in plan.cols[np.isnan(self._cols[plan.cols])].tolist():
+            self._cols[i] = self.beats(*self._plan.unpack(i - 1))
+        for i in plan.ties[np.isnan(self._tie_sums[plan.ties])].tolist():
+            brk, mk = self.tie_pair(*self._plan.unpack(i))
+            self._tie_sums[i] = brk + mk
 
-    def _indirect(self, base: tuple[int, ...], round_index: int) -> list:
-        """``(alternate, displaced, suffix, probability)`` for each way of
-        saving ``base[round_index - 1]`` that changes the winner."""
-        key = (base, round_index)
-        group = self._events.get(key)
-        if group is None:
-            saved = base[round_index - 1]
-            tie_dropped = frozenset(base[: round_index - 1])
-            base_prob = self.sequence_prob(base, full=True)
-            group = []
-            for alternate, displaced, suffix in enumerate_alternates(base, round_index):
-                tail = self._round_product(alternate, round_index + 1, len(base) - 1)
-                brk, mk = self.tie_pair(saved, displaced, tie_dropped)
-                prob = base_prob * tail * 0.5 * (brk + mk)
-                group.append((alternate, displaced, suffix, prob))
-            self._events[key] = group
-        return group
+    def _key_probs(self, cand: int, above: int) -> tuple[_KeyPlan, np.ndarray, np.ndarray]:
+        """The key's plan and its direct and indirect event probabilities.
 
-    def _reach(self, ballot: Ranking):
-        """Yield ``(position, candidate, orders, groups)`` per ballot position.
-
-        The vote reaches the candidate only once everything ranked above
-        has dropped: in the final round, that is unless the opponent is
-        ranked above.  ``orders`` are the direct events' elimination orders
-        (the candidate last) and ``groups`` the ``(base, round_index)``
-        keys of the indirect events that the vote can decide there.
+        A direct event is ``survival * 0.5 * (brk + mk)`` and an indirect one
+        ``base * tail * 0.5 * (brk + mk)``, each product in this order.
         """
-        kappa = self.profile.kappa
-        for pos, cand in enumerate(ballot, start=1):
-            above = set(ballot[: pos - 1])
-            orders: list[tuple[int, ...]] = []
-            groups: list[tuple[tuple[int, ...], int]] = []
-            for order in permutations(range(kappa)):
-                rnd = order.index(cand) + 1
-                if rnd == kappa and order[-2] not in above:
-                    orders.append(order)
-                # A save in round kappa - 1 is the final-round contest
-                # itself, which the direct events score.
-                elif rnd <= kappa - 2 and above <= set(order[: rnd - 1]):
-                    groups.append((order, rnd))
-            yield pos, cand, orders, groups
+        plan = self._plan.key(cand, above)
+        probs = self._probs.get((cand, above))
+        if probs is None:
+            self._fill(plan)
+            cols, ties = self._cols, self._tie_sums
+            direct = _fold(cols, plan.direct_cols) * 0.5 * ties[plan.direct_ties]
+            base = _fold(cols, plan.base_cols)[plan.group]
+            indirect = base * _fold(cols, plan.tail_cols) * 0.5 * ties[plan.indirect_ties]
+            probs = self._probs[cand, above] = (direct, indirect)
+        return plan, *probs
 
     # -- events and reports ------------------------------------------------
 
@@ -355,34 +512,37 @@ class PivotCalculator:
         with_events: bool = False,
     ) -> PivotReport:
         ballot = _check_ballot(self.profile, ballot)
-        u = None if utilities is None else _utility_vector(self.profile.kappa, utilities)
+        kappa = self.profile.kappa
+        u = None if utilities is None else np.array(_utility_vector(kappa, utilities))
         direct, indirect, gains, direct_ev, indirect_ev = [], [], [], [], []
-        for pos, cand, orders, groups in self._reach(ballot):
-            for order in orders:
-                prob = self._direct(order)
-                direct.append(prob)
-                swing = None if u is None else u[cand] - u[order[-2]]
-                if swing is not None:
-                    gains.append(prob * swing)
-                if with_events:
+        above = 0
+        for pos, cand in enumerate(ballot, start=1):
+            plan, d_prob, i_prob = self._key_probs(cand, above)
+            direct.append(d_prob)
+            indirect.append(i_prob)
+            d_swing = i_swing = None
+            if u is not None:
+                d_swing = u[cand] - u[plan.runner_up]
+                i_swing = u[plan.new_winner] - u[plan.old_winner]
+                gains += [d_prob * d_swing, i_prob * i_swing]
+            if with_events:
+                orders, groups = _walk(kappa, cand, self._plan.dropped(above))
+                d_rows = zip(orders, d_prob.tolist(), _listed(d_swing, d_prob), strict=True)
+                for order, prob, swing in d_rows:
                     direct_ev.append(DirectEvent(pos, cand, order[:-1], order[-2], prob, swing))
-            for base, rnd in groups:
-                for entry in self._indirect(base, rnd):
-                    prob = entry[-1]
-                    indirect.append(prob)
-                    swing = None if u is None else u[entry[0][-1]] - u[base[-1]]
-                    if swing is not None:
-                        gains.append(prob * swing)
-                    if with_events:
-                        indirect_ev.append(IndirectEvent(pos, cand, base, rnd, *entry, swing))
-        p_direct = math.fsum(direct)
-        p_indirect = math.fsum(indirect)
+                alts = [(base, rnd, *alt) for base, rnd, group in groups for alt in group]
+                i_rows = zip(alts, i_prob.tolist(), _listed(i_swing, i_prob), strict=True)
+                for alt, prob, swing in i_rows:
+                    indirect_ev.append(IndirectEvent(pos, cand, *alt, prob, swing))
+            above |= 1 << cand
+        p_direct = _fsum(direct)
+        p_indirect = _fsum(indirect)
         return PivotReport(
             ballot=ballot,
             p_direct=p_direct,
             p_indirect=p_indirect,
             p_total=p_direct + p_indirect,
-            expected_utility=None if u is None else math.fsum(gains),
+            expected_utility=None if u is None else _fsum(gains),
             events=direct_ev + indirect_ev if with_events else None,
         )
 
@@ -402,7 +562,7 @@ def drop_sequence_prob(
     still standing, at that round's expected totals; the per-round
     comparisons are multiplied together.
     """
-    order = tuple(int(c) for c in order)
+    order = _as_ranking(order)
     if sorted(order) != list(range(profile.kappa)):
         raise ValueError(
             f"order must be a permutation of all {profile.kappa} candidates"

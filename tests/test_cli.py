@@ -137,3 +137,11 @@ def test_malformed_profile_entry_message(tmp_path):
     assert res.returncode == 1
     assert res.stderr.startswith("pivot: malformed profile")
     assert "Traceback" not in res.stderr
+
+
+def test_non_integral_candidate_message(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kappa": 3, "rates": [{"ranking": [1.7], "rate": 1.0}]}')
+    res = run_cli("compute", "--profile", str(path), "--ballot", "0")
+    assert res.returncode == 1
+    assert res.stderr.strip() == "pivot: candidate id must be an integer, got 1.7"

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,41 @@ def test_from_dict_rejects_malformed_json(cls, field):
     for data in malformed:
         with pytest.raises(ValueError, match="malformed"):
             cls.from_dict(data)
+
+
+def test_integral_values_accepted():
+    data = {"kappa": 3.0, "L": 2.0, "rates": [{"ranking": [1.0, np.int64(2)], "rate": 1}]}
+    prof = BallotProfile.from_dict(data)
+    assert (prof.kappa, prof.max_length, prof.rates) == (3, 2, {(1, 2): 1.0})
+    assert all(type(c) is int for c in next(iter(prof.rates)))
+    realized = RealizedElection(3, {(np.int32(1),): 3.0, (0,): np.int64(2)})
+    assert realized.counts == {(1,): 3, (0,): 2}
+    assert all(type(v) is int for v in realized.counts.values())
+
+
+def test_non_integral_values_rejected():
+    # Each used to be truncated without a message.
+    with pytest.raises(ValueError, match="1.7"):
+        BallotProfile.from_dict({"kappa": 3, "rates": [{"ranking": [1.7], "rate": 1}]})
+    with pytest.raises(ValueError, match="2.9"):
+        RealizedElection(3, {(1,): 2.9})
+    with pytest.raises(ValueError, match="2.5"):
+        RealizedElection.from_dict({"kappa": 3, "counts": [{"ranking": [1], "count": 2.5}]})
+    with pytest.raises(ValueError, match="0.5"):
+        BallotProfile(3, {(0.5,): 1.0})
+    with pytest.raises(ValueError, match="nan"):
+        RealizedElection(3, {(1,): float("nan")})
+    with pytest.raises(ValueError, match="3.5"):
+        BallotProfile(3.5, {(0,): 1.0})
+    with pytest.raises(ValueError, match="2.5"):
+        BallotProfile.from_dict({"kappa": 3, "L": 2.5, "rates": []})
+    with pytest.raises(ValueError, match="1.5"):
+        RealizedElection(3, {(0,): 1}, max_length=1.5)
+    # A value that is not a number at all is a type error, and malformed JSON.
+    with pytest.raises(TypeError, match="'1'"):
+        BallotProfile(3, {("1",): 1.0})
+    with pytest.raises(ValueError, match="malformed"):
+        BallotProfile.from_dict({"kappa": 3, "rates": [{"ranking": ["1"], "rate": 1}]})
 
 
 def test_conditional_support_examples():

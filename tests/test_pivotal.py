@@ -5,6 +5,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irvpivot import (
     BallotProfile,
@@ -24,6 +26,7 @@ from irvpivot import (
     sweep_reports,
     total_pivot_prob,
 )
+from irvpivot import pivotal
 from irvpivot.experiment import gen_uniform_profile
 from irvpivot.pivotal import PivotCalculator, drop_lists
 
@@ -63,6 +66,8 @@ def test_drop_sequence_prob_rejects_partial_orders():
         drop_sequence_prob(prof, [0, 1])
     with pytest.raises(ValueError):
         drop_sequence_prob(prof, [0, 1, 1])
+    with pytest.raises(ValueError, match="1.5"):
+        drop_sequence_prob(prof, [0, 1.5, 2])
 
 
 # -- direct pivotality -------------------------------------------------------
@@ -160,6 +165,8 @@ def test_enumerate_alternates_rejects_bad_round():
         enumerate_alternates((0, 1, 2), 0)
     with pytest.raises(ValueError):
         enumerate_alternates((0, 1, 1), 1)
+    with pytest.raises(ValueError, match="0.7"):
+        enumerate_alternates((0.7, 2, 1), 1)
 
 
 # -- indirect pivotality -----------------------------------------------------
@@ -436,3 +443,73 @@ def test_event_list_agrees_with_report_sums(name, sequence_ties, ballot):
     assert [e.probability for e in direct] == [e.probability for e in calc.direct_events(ballot)]
     assert [e.probability for e in indirect] == [e.probability for e in calc.indirect_events(ballot)]
     assert calc.report(ballot).events is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kappa=st.integers(3, 5),
+    seed=st.integers(0, 2**16),
+    truncated=st.booleans(),
+    sequence_ties=st.booleans(),
+    pick=st.integers(0, 10**6),
+)
+@example(kappa=4, seed=1, truncated=True, sequence_ties=True, pick=7)
+@example(kappa=5, seed=2, truncated=False, sequence_ties=True, pick=10**6)
+def test_event_probabilities_match_scalar_arithmetic(kappa, seed, truncated, sequence_ties, pick):
+    # Each event evaluated on arrays must give the bits of the scalar
+    # product it stands for, with the same association.
+    max_length = kappa - 1 if truncated else kappa
+    rankings = admissible_rankings(kappa, max_length)
+    w = np.random.default_rng(seed).dirichlet(4.0 * np.ones(len(rankings)))
+    prof = BallotProfile(kappa, dict(zip(rankings, 20.0 * kappa * w)), max_length=max_length)
+    calc = PivotCalculator(prof, sequence_ties=sequence_ties)
+    ballot = rankings[pick % len(rankings)]
+    events = calc.report(ballot, with_events=True).events
+    assert events
+    for ev in events:
+        if isinstance(ev, DirectEvent):
+            order = ev.drops + (ev.candidate,)
+            brk, mk = calc.tie_pair(ev.candidate, ev.runner_up, frozenset(ev.drops[:-1]))
+            want = calc.sequence_prob(order, full=False) * 0.5 * (brk + mk)
+        else:
+            rnd = ev.round_index
+            brk, mk = calc.tie_pair(ev.candidate, ev.displaced, frozenset(ev.base[: rnd - 1]))
+            want = (
+                calc.sequence_prob(ev.base, full=True)
+                * calc._round_product(ev.alternate, rnd + 1, kappa - 1)
+                * 0.5
+                * (brk + mk)
+            )
+        assert ev.probability == want
+
+
+# Kernel calls of one report on a fresh calculator, per ballot length
+# (ballot: the candidates in descending order), recorded from the engine
+# that scored events one at a time.  A report must not evaluate
+# comparisons or tie terms its ballot cannot reach.
+KERNEL_WORK = {
+    "k3": [(10, 4), (10, 5), (10, 5)],
+    "k4": [(45, 12), (45, 16), (45, 17), (45, 17)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_WORK))
+def test_one_off_report_kernel_work(name, monkeypatch):
+    calls = {"psg": 0, "tie": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, kernel in (("psg", "prob_strictly_greater"), ("tie", "tie_terms")):
+        monkeypatch.setattr(pivotal, kernel, counted(key, getattr(pivotal, kernel)))
+    prof = PINNED_PROFILES[name]()
+    ballot = tuple(reversed(range(prof.kappa)))
+    got = []
+    for length in range(1, prof.kappa + 1):
+        calls.update(psg=0, tie=0)
+        PivotCalculator(prof).report(ballot[:length])
+        got.append((calls["psg"], calls["tie"]))
+    assert got == KERNEL_WORK[name]

@@ -7,6 +7,8 @@ plumbing shows up as a mismatch here.
 """
 
 import math
+import sys
+from functools import cache
 from itertools import permutations
 
 import pytest
@@ -119,6 +121,32 @@ def test_engine_matches_reference(profile):
         rep = calc.report(ballot)
         assert rep.p_direct == got_d
         assert rep.p_indirect == got_i
+
+
+@pytest.mark.parametrize(
+    "profile,ballots",
+    [
+        (dirichlet_profile(5, 60.0, seed=23), [(0,), (3, 1)]),
+        (dirichlet_profile(6, 90.0, seed=24), [(2,)]),
+    ],
+    ids=["dir5", "dir6"],
+)
+def test_engine_matches_reference_at_larger_kappa(profile, ballots, monkeypatch):
+    # The reference's kernel and expected totals are pure functions of
+    # their arguments; memoizing them keeps its event walk unchanged and
+    # the kappa=6 run to seconds.
+    module = sys.modules[__name__]
+    for name in ("prob_strictly_greater", "skellam_pmf"):
+        monkeypatch.setattr(module, name, cache(getattr(module, name)))
+    totals = cache(lambda cand, ctx, total=expected_total: total(profile, cand, ctx))
+    monkeypatch.setattr(
+        module, "expected_total", lambda _, cand, ctx: totals(cand, tuple(sorted(ctx)))
+    )
+    calc = PivotCalculator(profile)
+    for ballot in ballots:
+        rep = calc.report(ballot)
+        assert rep.p_direct == pytest.approx(ref_direct(profile, ballot), rel=1e-12, abs=1e-15)
+        assert rep.p_indirect == pytest.approx(ref_indirect(profile, ballot), rel=1e-12, abs=1e-15)
 
 
 def test_probabilities_stay_in_unit_interval():
