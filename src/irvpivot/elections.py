@@ -108,16 +108,30 @@ def _read_json(data, what: str, field: str, number: type) -> tuple:
 
     ``entries`` holds one ``(ranking, value)`` pair per entry of the list
     under ``field + "s"``, repeats included.  A missing field raises a
-    ``ValueError`` that names it; JSON of the wrong shape raises one that
-    shows the expected shape.
+    ``ValueError`` that names it, and so does a value that is not a JSON
+    number where one is due (``float()`` and ``int()`` would take a string
+    or a boolean); JSON of another wrong shape raises one that shows the
+    expected shape.
     """
+
+    def num(value, name: str):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"malformed {what}: {name} must be a number, got {value!r}")
+        return value
+
     try:
-        entries = [(_as_ranking(e["ranking"]), number(e[field])) for e in data[field + "s"]]
+        entries = [
+            (
+                _as_ranking(num(c, "each 'ranking' entry") for c in e["ranking"]),
+                number(num(e[field], repr(field))),
+            )
+            for e in data[field + "s"]
+        ]
         max_length = data.get("L")
         return (
-            _integral(data["kappa"], "kappa"),
+            _integral(num(data["kappa"], "'kappa'"), "kappa"),
             entries,
-            None if max_length is None else _integral(max_length, "max_length"),
+            None if max_length is None else _integral(num(max_length, "'L'"), "max_length"),
         )
     except KeyError as exc:
         raise ValueError(f"{what} lacks the {exc.args[0]!r} field") from None

@@ -199,28 +199,6 @@ def enumerate_alternates(
     return out
 
 
-def _walk(kappa: int, cand: int, above: frozenset[int]):
-    """The events a vote for ``cand`` can decide once ``above`` has dropped.
-
-    Returns ``(orders, groups)`` in report order.  ``orders`` are the
-    direct events' elimination orders (``cand`` last): the vote reaches
-    ``cand`` in the final round unless the opponent is ranked above.
-    ``groups`` holds a ``(base, round_index, alternates)`` triple for each
-    order that drops ``cand`` in a round the vote can decide, with the
-    :func:`enumerate_alternates` of that save.
-    """
-    orders, groups = [], []
-    for order in permutations(range(kappa)):
-        rnd = order.index(cand) + 1
-        if rnd == kappa and order[-2] not in above:
-            orders.append(order)
-        # A save in round kappa - 1 is the final-round contest itself,
-        # which the direct events score.
-        elif rnd <= kappa - 2 and above <= set(order[: rnd - 1]):
-            groups.append((order, rnd, enumerate_alternates(order, rnd)))
-    return orders, groups
-
-
 def _pack(first, second, mask, kappa: int):
     """Dense index of a ``(first, second, dropped)`` triple, ``dropped`` as
     a bitmask; works elementwise on arrays."""
@@ -259,8 +237,28 @@ def _fold(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fsum(arrays: list[np.ndarray]) -> float:
-    return math.fsum(np.concatenate(arrays).tolist())
+def _partials(values: list[float]) -> list[float]:
+    """A short list of floats with the exact sum of ``values``.
+
+    Each entry is the rounded remainder the entries before it leave.  A
+    remainder is a multiple of 2**-1074, so it rounds to 0.0 only once it
+    is exactly 0.  ``math.fsum`` is correctly rounded, so any list that
+    holds these in place of ``values`` sums to the same bits.  A sum of
+    zero is kept as the zero ``math.fsum`` gives, with its sign.
+    """
+    out: list[float] = []
+    while rest := math.fsum(values + [-p for p in out]):
+        out.append(rest)
+        if not math.isfinite(rest):
+            break
+    return out or [rest]
+
+
+def _swings(plan: "_KeyPlan", cand: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per event of a key, the utility the added vote gains: the direct
+    events' ``u[cand] - u[runner_up]`` and the indirect ones' ``u[new
+    winner] - u[old winner]``."""
+    return u[cand] - u[plan.runner_up], u[plan.new_winner] - u[plan.old_winner]
 
 
 def _listed(swings: np.ndarray | None, probs: np.ndarray) -> list:
@@ -287,6 +285,17 @@ class _KeyPlan(NamedTuple):
     ties: np.ndarray  # every tie row used above, once
 
 
+class _KeyProbs(NamedTuple):
+    """A calculator's event probabilities at one key, in report order, and
+    their exact partials."""
+
+    plan: _KeyPlan
+    direct: np.ndarray
+    indirect: np.ndarray
+    direct_partials: list[float]
+    indirect_partials: list[float]
+
+
 class _Plan:
     """The index plan of one kappa, shared by every calculator of that kappa.
 
@@ -295,8 +304,9 @@ class _Plan:
     dropped)``, and column 0 holds the 1.0 that pads a fold.  Row
     ``_pack(candidate, opponent, dropped)`` of the tie vector holds ``brk +
     mk`` from ``tie_pair(candidate, opponent, dropped)``.  The plan lists
-    per key, built on first use, the indices its events read; it holds
-    narrow integer arrays only.
+    per key, built on first use, the indices its events read, as narrow
+    integer arrays.  It keeps the alternates of each group for
+    :meth:`walk`, which lists the events themselves.
     """
 
     def __init__(self, kappa: int):
@@ -304,6 +314,7 @@ class _Plan:
         self.size = kappa * kappa << kappa
         self._index = np.min_scalar_type(self.size)
         self._keys: dict[tuple[int, int], _KeyPlan] = {}
+        self._alternates: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 
     def dropped(self, mask: int) -> frozenset[int]:
         return frozenset(c for c in range(self.kappa) if mask >> c & 1)
@@ -313,6 +324,36 @@ class _Plan:
         k = self.kappa
         return index % k, index // k % k, self.dropped(index // (k * k))
 
+    def walk(self, cand: int, above: int):
+        """The events a vote for ``cand`` can decide once the candidates in
+        the bitmask ``above`` have dropped.
+
+        Returns ``(orders, groups)`` in report order.  ``orders`` are the
+        direct events' elimination orders (``cand`` last): the vote reaches
+        ``cand`` in the final round unless the opponent is ranked above.
+        ``groups`` holds a ``(base, round_index, alternates)`` triple for
+        each order that drops ``cand`` in a round the vote can decide.
+        ``alternates`` holds the alternate orders of
+        :func:`enumerate_alternates` for that save, one per row, made once
+        per ``(base, round_index)`` and shared by every key that reaches it.
+        """
+        kappa, dropped = self.kappa, self.dropped(above)
+        orders, groups = [], []
+        for order in permutations(range(kappa)):
+            rnd = order.index(cand) + 1
+            if rnd == kappa and order[-2] not in dropped:
+                orders.append(order)
+            # A save in round kappa - 1 is the final-round contest itself,
+            # which the direct events score.
+            elif rnd <= kappa - 2 and dropped <= set(order[: rnd - 1]):
+                alts = self._alternates.get((order, rnd))
+                if alts is None:
+                    rows = [a for a, _, _ in enumerate_alternates(order, rnd)]
+                    alts = np.array(rows, dtype=np.int8).reshape(-1, kappa)
+                    self._alternates[order, rnd] = alts
+                groups.append((order, rnd, alts))
+        return orders, groups
+
     def key(self, cand: int, above: int) -> _KeyPlan:
         plan = self._keys.get((cand, above))
         if plan is None:
@@ -321,7 +362,7 @@ class _Plan:
 
     def _build(self, cand: int, above: int) -> _KeyPlan:
         kappa = self.kappa
-        orders, groups = _walk(kappa, cand, self.dropped(above))
+        orders, groups = self.walk(cand, above)
         direct = np.array(orders, dtype=np.int64).reshape(-1, kappa)
         direct_cols, _ = _fold_columns(direct, kappa - 2)
         direct_ties = _pack(direct[:, -1], direct[:, -2], _prefix_masks(direct)[:, -2], kappa)
@@ -331,7 +372,8 @@ class _Plan:
         sizes = [len(g[2]) for g in groups]
         group = np.repeat(np.arange(len(groups)), sizes)
         saved = np.repeat(np.array([g[1] for g in groups], dtype=np.int64), sizes)
-        alt = np.array([a for g in groups for a, _, _ in g[2]], dtype=np.int64).reshape(-1, kappa)
+        alt = np.concatenate([np.empty((0, kappa), np.int8)] + [g[2] for g in groups])
+        alt = alt.astype(np.int64)
         tail_cols, rounds = _fold_columns(alt, kappa - 1)
         tail_cols = np.where(rounds[:, None] > saved, tail_cols, 0)
         # Rows up to the earliest save hold padding only.
@@ -370,12 +412,19 @@ class PivotCalculator:
     above)`` key of each position.  A per-kappa index plan lists, per key,
     the comparison columns and tie rows each event multiplies.  A report
     fills the key's missing columns and rows through :meth:`beats` and
-    :meth:`tie_pair`, which cache expected totals, pairwise comparisons and
-    tie terms, and evaluates the key's events with the left fold of
+    :meth:`tie_pair`, and evaluates the key's events with the left fold of
     :meth:`_round_product`, so every event gets the same IEEE product as
-    the scalar path.  The probability arrays are kept per key.  A report
-    sums them with ``math.fsum``, so results do not depend on enumeration
-    order, and builds event objects only when asked for them.
+    the scalar path.
+
+    Each distinct piece of arithmetic is done once per calculator.  The
+    kernel is a function of two Poisson rates only, so :meth:`beats` and
+    :meth:`tie_pair` cache it on the rate values: in symmetric profiles
+    most comparisons share a pair.  Per key, the probability arrays are
+    kept with their exact partials (:func:`_partials`), a few floats with
+    the arrays' exact sum, and the utility gains' partials are kept per
+    utility vector.  A report sums its keys' partials with ``math.fsum``,
+    which gives the correctly rounded sum of all its events, independent of
+    enumeration order, and builds event objects only when asked for them.
 
     Args:
         profile: Expected ballot counts.
@@ -397,14 +446,16 @@ class PivotCalculator:
         self.tol = tol
         self.sequence_ties = sequence_ties
         self._totals: dict[tuple[int, frozenset[int]], float] = {}
-        self._beats: dict[tuple[int, int, frozenset[int]], float] = {}
-        self._ties: dict[tuple[int, int, frozenset[int]], tuple[float, float]] = {}
+        # Kernel results keyed on the two rates they are evaluated at.
+        self._beats: dict[tuple[float, float], float] = {}
+        self._ties: dict[tuple[float, float], tuple[float, float]] = {}
         self._plan = _plan(profile.kappa)
         # The comparison and tie vectors of _Plan, made by the first report
         # (their length grows as 2**kappa, and the scalar path needs neither).
         self._cols: np.ndarray | None = None
         self._tie_sums: np.ndarray | None = None
-        self._probs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._probs: dict[tuple[int, int], _KeyProbs] = {}
+        self._gains: dict[tuple[int, int, tuple[float, ...]], list[float]] = {}
 
     # -- cached primitives -------------------------------------------------
 
@@ -418,27 +469,22 @@ class PivotCalculator:
 
     def beats(self, winner: int, loser: int, dropped: frozenset[int]) -> float:
         """P(winner's total exceeds loser's) in the round after ``dropped``."""
-        key = (winner, loser, dropped)
+        key = (self.total(winner, dropped), self.total(loser, dropped))
         val = self._beats.get(key)
         if val is None:
-            lam_w = self.total(winner, dropped)
-            lam_l = self.total(loser, dropped)
-            val = prob_strictly_greater(lam_w, lam_l, self.tol)
+            val = prob_strictly_greater(*key, self.tol)
             if self.sequence_ties:
-                val = min(1.0, val + 0.5 * skellam_pmf(0, lam_w, lam_l, self.tol))
+                val = min(1.0, val + 0.5 * skellam_pmf(0, *key, self.tol))
             self._beats[key] = val
         return val
 
     def tie_pair(
         self, candidate: int, opponent: int, dropped: frozenset[int]
     ) -> tuple[float, float]:
-        key = (candidate, opponent, dropped)
+        key = (self.total(candidate, dropped), self.total(opponent, dropped))
         val = self._ties.get(key)
         if val is None:
-            lam_c = self.total(candidate, dropped)
-            lam_o = self.total(opponent, dropped)
-            val = tie_terms(lam_c, lam_o, self.tol)
-            self._ties[key] = val
+            val = self._ties[key] = tie_terms(*key, self.tol)
         return val
 
     def _round_product(self, order: tuple[int, ...], first: int, last: int) -> float:
@@ -478,22 +524,34 @@ class PivotCalculator:
             brk, mk = self.tie_pair(*self._plan.unpack(i))
             self._tie_sums[i] = brk + mk
 
-    def _key_probs(self, cand: int, above: int) -> tuple[_KeyPlan, np.ndarray, np.ndarray]:
-        """The key's plan and its direct and indirect event probabilities.
+    def _key_probs(self, cand: int, above: int) -> _KeyProbs:
+        """The key's direct and indirect event probabilities and their partials.
 
         A direct event is ``survival * 0.5 * (brk + mk)`` and an indirect one
         ``base * tail * 0.5 * (brk + mk)``, each product in this order.
         """
-        plan = self._plan.key(cand, above)
         probs = self._probs.get((cand, above))
         if probs is None:
+            plan = self._plan.key(cand, above)
             self._fill(plan)
             cols, ties = self._cols, self._tie_sums
             direct = _fold(cols, plan.direct_cols) * 0.5 * ties[plan.direct_ties]
             base = _fold(cols, plan.base_cols)[plan.group]
             indirect = base * _fold(cols, plan.tail_cols) * 0.5 * ties[plan.indirect_ties]
-            probs = self._probs[cand, above] = (direct, indirect)
-        return plan, *probs
+            probs = self._probs[cand, above] = _KeyProbs(
+                plan, direct, indirect, _partials(direct.tolist()), _partials(indirect.tolist())
+            )
+        return probs
+
+    def _gain_partials(self, cand: int, above: int, u: tuple[float, ...]) -> list[float]:
+        """Partials of the key's utility gains, ``probability * swing`` per event."""
+        parts = self._gains.get((cand, above, u))
+        if parts is None:
+            probs = self._key_probs(cand, above)
+            d_swing, i_swing = _swings(probs.plan, cand, np.array(u))
+            gains = (probs.direct * d_swing).tolist() + (probs.indirect * i_swing).tolist()
+            parts = self._gains[cand, above, u] = _partials(gains)
+        return parts
 
     # -- events and reports ------------------------------------------------
 
@@ -512,37 +570,41 @@ class PivotCalculator:
         with_events: bool = False,
     ) -> PivotReport:
         ballot = _check_ballot(self.profile, ballot)
-        kappa = self.profile.kappa
-        u = None if utilities is None else np.array(_utility_vector(kappa, utilities))
+        u = None if utilities is None else _utility_vector(self.profile.kappa, utilities)
         direct, indirect, gains, direct_ev, indirect_ev = [], [], [], [], []
         above = 0
         for pos, cand in enumerate(ballot, start=1):
-            plan, d_prob, i_prob = self._key_probs(cand, above)
-            direct.append(d_prob)
-            indirect.append(i_prob)
-            d_swing = i_swing = None
+            probs = self._key_probs(cand, above)
+            direct += probs.direct_partials
+            indirect += probs.indirect_partials
             if u is not None:
-                d_swing = u[cand] - u[plan.runner_up]
-                i_swing = u[plan.new_winner] - u[plan.old_winner]
-                gains += [d_prob * d_swing, i_prob * i_swing]
+                gains += self._gain_partials(cand, above, u)
             if with_events:
-                orders, groups = _walk(kappa, cand, self._plan.dropped(above))
+                d_swing = i_swing = None
+                if u is not None:
+                    d_swing, i_swing = _swings(probs.plan, cand, np.array(u))
+                orders, groups = self._plan.walk(cand, above)
+                d_prob, i_prob = probs.direct, probs.indirect
                 d_rows = zip(orders, d_prob.tolist(), _listed(d_swing, d_prob), strict=True)
                 for order, prob, swing in d_rows:
                     direct_ev.append(DirectEvent(pos, cand, order[:-1], order[-2], prob, swing))
-                alts = [(base, rnd, *alt) for base, rnd, group in groups for alt in group]
+                alts = [
+                    (base, rnd, alt, alt[rnd - 1], alt[rnd:])
+                    for base, rnd, group in groups
+                    for alt in map(tuple, group.tolist())
+                ]
                 i_rows = zip(alts, i_prob.tolist(), _listed(i_swing, i_prob), strict=True)
                 for alt, prob, swing in i_rows:
                     indirect_ev.append(IndirectEvent(pos, cand, *alt, prob, swing))
             above |= 1 << cand
-        p_direct = _fsum(direct)
-        p_indirect = _fsum(indirect)
+        p_direct = math.fsum(direct)
+        p_indirect = math.fsum(indirect)
         return PivotReport(
             ballot=ballot,
             p_direct=p_direct,
             p_indirect=p_indirect,
             p_total=p_direct + p_indirect,
-            expected_utility=None if u is None else _fsum(gains),
+            expected_utility=None if u is None else math.fsum(gains),
             events=direct_ev + indirect_ev if with_events else None,
         )
 

@@ -145,3 +145,11 @@ def test_non_integral_candidate_message(tmp_path):
     res = run_cli("compute", "--profile", str(path), "--ballot", "0")
     assert res.returncode == 1
     assert res.stderr.strip() == "pivot: candidate id must be an integer, got 1.7"
+
+
+def test_string_rate_message(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kappa": 3, "rates": [{"ranking": [1], "rate": "1.5"}]}')
+    res = run_cli("compute", "--profile", str(path), "--ballot", "0")
+    assert res.returncode == 1
+    assert res.stderr.strip() == "pivot: malformed profile: 'rate' must be a number, got '1.5'"

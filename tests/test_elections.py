@@ -93,6 +93,26 @@ def test_from_dict_rejects_malformed_json(cls, field):
             cls.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "cls,data,named",
+    [
+        (BallotProfile, {"kappa": 2, "rates": [{"ranking": [0], "rate": "1.5"}]}, "'rate'"),
+        (BallotProfile, {"kappa": 2, "rates": [{"ranking": [0], "rate": True}]}, "'rate'"),
+        (RealizedElection, {"kappa": 2, "counts": [{"ranking": [0], "count": True}]}, "'count'"),
+        (RealizedElection, {"kappa": 2, "counts": [{"ranking": [0], "count": "3"}]}, "'count'"),
+        (BallotProfile, {"kappa": True, "rates": []}, "'kappa'"),
+        (RealizedElection, {"kappa": "3", "counts": []}, "'kappa'"),
+        (BallotProfile, {"kappa": 3, "L": True, "rates": []}, "'L'"),
+        (BallotProfile, {"kappa": 3, "rates": [{"ranking": [0, True], "rate": 1}]}, "'ranking'"),
+        (RealizedElection, {"kappa": 3, "counts": [{"ranking": "01", "count": 1}]}, "'ranking'"),
+    ],
+)
+def test_from_dict_rejects_strings_and_booleans(cls, data, named):
+    # float() and int() take both, so "1.5" used to give 1.5 and true 1.
+    with pytest.raises(ValueError, match=f"malformed .*{named} .*must be a number"):
+        cls.from_dict(data)
+
+
 def test_integral_values_accepted():
     data = {"kappa": 3.0, "L": 2.0, "rates": [{"ranking": [1.0, np.int64(2)], "rate": 1}]}
     prof = BallotProfile.from_dict(data)

@@ -27,7 +27,7 @@ from irvpivot import (
     total_pivot_prob,
 )
 from irvpivot import pivotal
-from irvpivot.experiment import gen_uniform_profile
+from irvpivot.experiment import gen_powerlaw_profile, gen_uniform_profile
 from irvpivot.pivotal import PivotCalculator, drop_lists
 
 from conftest import brute_alternates, dirichlet_profile
@@ -428,6 +428,18 @@ def test_report_pinned_values(name, sequence_ties, ballot, p_direct, p_indirect,
     assert (again.p_direct, again.p_indirect, again.expected_utility) == (p_direct, p_indirect, eu)
 
 
+def test_expected_utility_cached_per_utility_vector():
+    # Gains are cached per key and utility vector.  A calculator that has
+    # priced other utilities must give a fresh calculator's bits.
+    prof = PINNED_PROFILES["k4"]()
+    calc = PivotCalculator(prof)
+    utilities = [(1.0, 0.25, 0.6, 0.0), (0.0, 1.0, 0.5, 0.2), {0: 1.0, 1: 0.25, 2: 0.6, 3: 0.0}]
+    for u in utilities:
+        for ballot in admissible_rankings(4)[::3]:
+            want = PivotCalculator(prof).report(ballot, u).expected_utility
+            assert calc.report(ballot, u).expected_utility == want
+
+
 @pytest.mark.parametrize("name,sequence_ties,ballot", [c[:3] for c in PINNED])
 def test_event_list_agrees_with_report_sums(name, sequence_ties, ballot):
     prof = PINNED_PROFILES[name]()
@@ -493,8 +505,9 @@ KERNEL_WORK = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_WORK))
-def test_one_off_report_kernel_work(name, monkeypatch):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls of the two kernels the engine makes, counted by kind."""
     calls = {"psg": 0, "tie": 0}
 
     def counted(key, fn):
@@ -505,11 +518,62 @@ def test_one_off_report_kernel_work(name, monkeypatch):
 
     for key, kernel in (("psg", "prob_strictly_greater"), ("tie", "tie_terms")):
         monkeypatch.setattr(pivotal, kernel, counted(key, getattr(pivotal, kernel)))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_WORK))
+def test_one_off_report_kernel_work(name, kernel_calls):
     prof = PINNED_PROFILES[name]()
     ballot = tuple(reversed(range(prof.kappa)))
     got = []
     for length in range(1, prof.kappa + 1):
-        calls.update(psg=0, tie=0)
+        kernel_calls.update(psg=0, tie=0)
         PivotCalculator(prof).report(ballot[:length])
-        got.append((calls["psg"], calls["tie"]))
+        got.append((kernel_calls["psg"], kernel_calls["tie"]))
     assert got == KERNEL_WORK[name]
+
+
+# Kernel calls of a full-length sweep on a fresh calculator, kappa = 3, 4, 5.
+# The kernel is a function of the two rates alone, and in these symmetric
+# profiles most comparisons share a pair of rates; an engine that ran it
+# once per (winner, loser, dropped) made 12, 48 and 160 calls of each kind.
+SWEEP_KERNEL_WORK = {
+    "powerlaw": (lambda k: gen_powerlaw_profile(k, 1000.0, seed=0), [(5, 5), (8, 8), (11, 11)]),
+    "flat": (lambda k: gen_uniform_profile(k, 1000.0), [(2, 2), (3, 3), (4, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_KERNEL_WORK))
+def test_sweep_kernel_work_per_distinct_rate_pair(name, kernel_calls):
+    make, want = SWEEP_KERNEL_WORK[name]
+    got = []
+    for kappa in (3, 4, 5):
+        kernel_calls.update(psg=0, tie=0)
+        sweep_reports(make(kappa), full_length_only=True)
+        got.append((kernel_calls["psg"], kernel_calls["tie"]))
+    assert got == want
+
+
+_float = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 990)),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1.0, -1.0]),
+)
+# Half of the values come with a near-negation: large cancellations.
+_summands = st.lists(_float, max_size=12).map(
+    lambda xs: xs + [-x * (1.0 + 2.0**-52) for x in xs[::2]]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_summands, max_size=6))
+@example([[1e300, 1.0, -1e300], [5e-324, 1e-300, -1e-300], [0.1] * 10])
+@example([[2.0**-1074] * 3, [-(2.0**-1073)], [2.0**53, 1.0, 1.0 - 2.0**-53]])
+def test_partials_keep_the_exact_sum(lists):
+    # A report sums per-key partials in place of the events themselves.
+    # math.fsum is correctly rounded, so this must give the same bits.
+    parts = [pivotal._partials(xs) for xs in lists]
+    flat = [x for xs in lists for x in xs]
+    want = math.fsum(flat)
+    got = math.fsum([p for ps in parts for p in ps])
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
