@@ -34,8 +34,10 @@ print(f"pivot mass of one extra vote in this pair: {0.5 * (brk + mk):.5f}")
 print(f"\npmf(1 | 1, 0) = {skellam_pmf(1, 1.0, 0.0):.12f}  (exp(-1) = {math.exp(-1):.12f})")
 print(f"pmf(0 | 0, 0) = {skellam_pmf(0, 0.0, 0.0)}")
 
-# The truncation bound is configurable; the default keeps absolute error
-# below 1e-12 even at rates around a million.
+# The truncation bound is an accepted argument, but the kernel's window is a
+# fixed 12 standard deviations plus 40 terms today, so a looser bound gives
+# the same digits (ROADMAP item 5 makes the window follow it).  That window
+# keeps absolute error below 1e-12 even at rates around a million.
 loose = Tolerance(tail_eps=1e-6)
 print(f"\nlarge rates: P(X > Y) at (1e6, 1e6 - 5000) = {prob_strictly_greater(1e6, 1e6 - 5000):.10f}")
 print(f"same with loose tolerance: {prob_strictly_greater(1e6, 1e6 - 5000, loose):.10f}")

@@ -11,7 +11,6 @@ from .elections import (
     BallotProfile,
     RealizedElection,
     admissible_rankings,
-    conditional_support,
     expected_total,
     tabulate,
     IRV,
@@ -39,11 +38,9 @@ from .pivotal import (
     PivotCalculator,
     PivotReport,
     best_ballot,
-    direct_pivot_prob,
     drop_sequence_prob,
     enumerate_alternates,
     expected_utility,
-    indirect_pivot_prob,
     sweep_reports,
     total_pivot_prob,
 )
@@ -62,7 +59,6 @@ __all__ = [
     "BallotProfile",
     "RealizedElection",
     "admissible_rankings",
-    "conditional_support",
     "expected_total",
     "tabulate",
     "IRV",
@@ -77,9 +73,7 @@ __all__ = [
     "PivotReport",
     "PivotCalculator",
     "drop_sequence_prob",
-    "direct_pivot_prob",
     "enumerate_alternates",
-    "indirect_pivot_prob",
     "total_pivot_prob",
     "expected_utility",
     "best_ballot",

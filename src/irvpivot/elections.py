@@ -1,4 +1,4 @@
-"""Ballot profiles, support counting, and concrete vote tabulation.
+"""Ballot profiles, expected vote totals, and concrete vote tabulation.
 
 Candidates are dense integer ids ``0 .. kappa-1``.  A ranking is a tuple of
 distinct candidate ids, most preferred first; rankings shorter than the
@@ -6,6 +6,12 @@ ballot limit are allowed (a ballot whose listed candidates have all been
 eliminated is exhausted and counts for nobody).  A :class:`BallotProfile`
 maps rankings to expected counts (Poisson rates); a
 :class:`RealizedElection` maps rankings to realized integer counts.
+
+The ballot-transfer rule, "a ballot counts for its highest-ranked candidate
+still standing", lives in :func:`_recipients`, a table over every active
+set that both the pivot engine (through :func:`_expected_totals`) and the
+Monte-Carlo oracle count with.  :func:`expected_total` applies the same
+rule one ranking at a time and is kept as the reference for that table.
 """
 
 from __future__ import annotations
@@ -14,14 +20,15 @@ import json
 import math
 import numbers
 import operator
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "Ranking",
     "BallotProfile",
     "RealizedElection",
     "admissible_rankings",
-    "conditional_support",
     "expected_total",
     "tabulate",
     "IRV",
@@ -86,7 +93,11 @@ def _check_ballot(profile: "BallotProfile", ballot: Sequence[int]) -> Ranking:
 def _utility_vector(
     kappa: int, utilities: Sequence[float] | Mapping[int, float]
 ) -> tuple[float, ...]:
-    """One finite utility per candidate, from a sequence or a mapping."""
+    """One finite utility per candidate, from a sequence or a mapping.
+
+    The gain of a changed winner is a difference of two utilities, so the
+    spread between the largest and the smallest must be finite too.
+    """
     if isinstance(utilities, Mapping):
         try:
             vals = [float(utilities[c]) for c in range(kappa)]
@@ -100,6 +111,11 @@ def _utility_vector(
             )
     if not all(math.isfinite(v) for v in vals):
         raise ValueError("utilities must be finite")
+    if not math.isfinite(max(vals) - min(vals)):
+        raise ValueError(
+            f"utility differences overflow: max {max(vals)!r} minus min "
+            f"{min(vals)!r} is not a finite float"
+        )
     return tuple(vals)
 
 
@@ -287,68 +303,15 @@ class RealizedElection:
         )
 
 
-def _support_items(
-    weights: Mapping[Ranking, float],
-    candidate: int,
-    dropped: frozenset[int],
-    position_cap: int | None,
-) -> Iterator[float]:
-    """Weights of ballots whose top non-dropped choice is ``candidate``.
-
-    A ballot counts at most once: walk its ranking, skip dropped candidates,
-    and look at the first survivor.  With ``position_cap`` set, the survivor
-    must additionally sit at ballot position <= position_cap (1-based).
-    """
-    for ranking, weight in weights.items():
-        for pos, cand in enumerate(ranking, start=1):
-            if cand in dropped:
-                continue
-            if cand == candidate and (position_cap is None or pos <= position_cap):
-                yield weight
-            break
-
-
-def conditional_support(
-    profile: BallotProfile,
-    candidate: int,
-    position_cap: int,
-    dropped: Sequence[int],
-) -> float:
-    """Expected ballots ranking ``candidate`` at or above ``position_cap``
-    with every higher position filled by an already-dropped candidate.
-
-    Args:
-        profile: Expected ballot counts.
-        candidate: Candidate receiving the support.
-        position_cap: Highest (1-based) ballot position that may hold the
-            candidate; must be within the profile's ranking-length limit.
-        dropped: Candidates treated as eliminated.
-
-    Returns:
-        Sum of rates of qualifying rankings, each counted once.
-    """
-    if not 0 <= candidate < profile.kappa:
-        raise ValueError(f"candidate {candidate} out of range")
-    if not 1 <= position_cap <= profile.max_length:
-        raise ValueError(
-            f"position_cap must be in 1..{profile.max_length}, got {position_cap}"
-        )
-    dropped_set = frozenset(int(c) for c in dropped)
-    if candidate in dropped_set:
-        raise ValueError(f"candidate {candidate} is in the dropped sequence")
-    for c in dropped_set:
-        if not 0 <= c < profile.kappa:
-            raise ValueError(f"dropped candidate {c} out of range")
-    return math.fsum(_support_items(profile.rates, candidate, dropped_set, position_cap))
-
-
 def expected_total(
     profile: BallotProfile, candidate: int, dropped: Sequence[int]
 ) -> float:
     """Expected vote total of ``candidate`` after ``dropped`` are eliminated.
 
     A ballot counts for its highest-ranked candidate not yet eliminated;
-    ballots listing only eliminated candidates are exhausted.
+    ballots listing only eliminated candidates are exhausted.  This walks
+    the rankings one at a time; the engine reads the same totals from
+    :func:`_expected_totals`.
     """
     if not 0 <= candidate < profile.kappa:
         raise ValueError(f"candidate {candidate} out of range")
@@ -358,7 +321,56 @@ def expected_total(
     for c in dropped_set:
         if not 0 <= c < profile.kappa:
             raise ValueError(f"dropped candidate {c} out of range")
-    return math.fsum(_support_items(profile.rates, candidate, dropped_set, None))
+    return math.fsum(
+        rate
+        for ranking, rate in profile.rates.items()
+        if next((c for c in ranking if c not in dropped_set), None) == candidate
+    )
+
+
+def _recipients(rankings: Sequence[Ranking], kappa: int) -> np.ndarray:
+    """Recipient table: ``recip[mask, j]`` is the first candidate of
+    ``rankings[j]`` in the active-set bitmask ``mask``, or ``kappa`` when
+    every candidate it lists is eliminated (the ballot is exhausted).
+
+    Built with one pass per ballot position, last position first, over the
+    rankings padded with ``kappa``; bit ``kappa`` of a mask is never set, so
+    padding never receives a ballot.
+    """
+    padded = np.array(
+        [r + (kappa,) * (kappa - len(r)) for r in rankings], dtype=np.intp
+    ).reshape(-1, kappa)
+    masks = np.arange(1 << kappa)[:, None]
+    recip = np.full((len(masks), len(padded)), kappa, dtype=np.intp)
+    for cand in padded.T[::-1]:
+        recip = np.where(masks >> cand & 1 == 1, cand, recip)
+    return recip
+
+
+def _expected_totals(profile: BallotProfile) -> np.ndarray:
+    """``T[dropped, c]``: the expected total of candidate ``c`` once the
+    candidates in the bitmask ``dropped`` are eliminated.
+
+    Each entry is the ``math.fsum`` of the rates its ballots carry, the
+    same multiset :func:`expected_total` sums, so it has the same bits.
+    Entries of dropped candidates are 0.0.
+    """
+    kappa = profile.kappa
+    rates = np.array(list(profile.rates.values()))
+    # Row ``dropped`` of the table is active set ``full ^ dropped``, and
+    # ``full ^ dropped == full - dropped``: the recipient rows reversed.
+    recip = _recipients(list(profile.rates), kappa)[::-1]
+    # Per row, the rates grouped by recipient and where each group ends.
+    grouped = rates[np.argsort(recip, axis=1, kind="stable")].tolist()
+    offsets = np.arange(len(recip))[:, None] * (kappa + 1)
+    counts = np.bincount((recip + offsets).ravel(), minlength=len(recip) * (kappa + 1))
+    ends = counts.reshape(-1, kappa + 1)[:, :kappa].cumsum(axis=1).tolist()
+    return np.array(
+        [
+            [math.fsum(row[a:b]) for a, b in zip([0] + cuts, cuts)]
+            for row, cuts in zip(grouped, ends)
+        ]
+    )
 
 
 def _realized_totals(

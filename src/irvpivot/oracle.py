@@ -8,13 +8,14 @@ numbers, so the added ballot is the only difference between the two counts.
 A draw whose winner changes is pivotal; it counts as direct when the new
 winner is the ballot's own surviving candidate, indirect otherwise.
 
-Counting uses a recipient table built once per call: for every active-set
-bitmask and every ranking, the first listed candidate still standing (or
-``kappa`` for an exhausted ballot).  Each round scatters the ranking counts
-into per-candidate totals through that table, and the studied ballot adds
-one vote through its own column, so the recount also yields the ballot's
-final-round choice that tells direct from indirect pivots.  Only draws
-where some round was decided by at most one vote are recounted.
+Counting uses the recipient table of :func:`elections._recipients`, built
+once per call: for every active-set bitmask and every ranking, the first
+listed candidate still standing (or ``kappa`` for an exhausted ballot).
+Each round scatters the ranking counts into per-candidate totals through
+that table, and the studied ballot adds one vote through its own column, so
+the recount also yields the ballot's final-round choice that tells direct
+from indirect pivots.  Only draws where some round was decided by at most
+one vote are recounted.
 
 Draws are generated in fixed-size blocks with a counter-based seed per
 block, so estimates are bit-for-bit reproducible and independent of how
@@ -29,7 +30,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .elections import BallotProfile, Ranking, _check_ballot, _utility_vector
+from .elections import BallotProfile, Ranking, _check_ballot, _recipients, _utility_vector
 
 __all__ = [
     "OracleConfig",
@@ -85,18 +86,6 @@ def _block_rngs(cfg: OracleConfig, block: int) -> tuple[np.random.Generator, np.
         np.random.SeedSequence([_COIN_STREAM, cfg.coin_seed % 2**64, block])
     )
     return counts, coins
-
-
-def _recipients(rankings: Sequence[Ranking], kappa: int) -> np.ndarray:
-    """Recipient table: ``recip[mask, j]`` is the first candidate of
-    ``rankings[j]`` in the active-set bitmask ``mask``, or ``kappa`` when
-    every candidate it lists is eliminated (the ballot is exhausted)."""
-    masks = np.arange(1 << kappa)
-    recip = np.full((len(masks), len(rankings)), kappa, dtype=np.intp)
-    for j, ranking in enumerate(rankings):
-        for cand in reversed(ranking):
-            recip[(masks >> cand) & 1 == 1, j] = cand
-    return recip
 
 
 def _tabulate_block(

@@ -37,9 +37,9 @@ from .elections import (
     Ranking,
     _as_ranking,
     _check_ballot,
+    _expected_totals,
     _utility_vector,
     admissible_rankings,
-    expected_total,
 )
 from .skellam import DEFAULT_TOLERANCE, Tolerance, prob_strictly_greater, skellam_pmf, tie_terms
 
@@ -50,9 +50,7 @@ __all__ = [
     "PivotCalculator",
     "drop_lists",
     "drop_sequence_prob",
-    "direct_pivot_prob",
     "enumerate_alternates",
-    "indirect_pivot_prob",
     "total_pivot_prob",
     "expected_utility",
     "best_ballot",
@@ -316,14 +314,6 @@ class _Plan:
         self._keys: dict[tuple[int, int], _KeyPlan] = {}
         self._alternates: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 
-    def dropped(self, mask: int) -> frozenset[int]:
-        return frozenset(c for c in range(self.kappa) if mask >> c & 1)
-
-    def unpack(self, index: int) -> tuple[int, int, frozenset[int]]:
-        """The ``(first, second, dropped)`` triple of a packed index."""
-        k = self.kappa
-        return index % k, index // k % k, self.dropped(index // (k * k))
-
     def walk(self, cand: int, above: int):
         """The events a vote for ``cand`` can decide once the candidates in
         the bitmask ``above`` have dropped.
@@ -337,15 +327,15 @@ class _Plan:
         :func:`enumerate_alternates` for that save, one per row, made once
         per ``(base, round_index)`` and shared by every key that reaches it.
         """
-        kappa, dropped = self.kappa, self.dropped(above)
+        kappa = self.kappa
         orders, groups = [], []
         for order in permutations(range(kappa)):
             rnd = order.index(cand) + 1
-            if rnd == kappa and order[-2] not in dropped:
+            if rnd == kappa and not above >> order[-2] & 1:
                 orders.append(order)
             # A save in round kappa - 1 is the final-round contest itself,
             # which the direct events score.
-            elif rnd <= kappa - 2 and dropped <= set(order[: rnd - 1]):
+            elif rnd <= kappa - 2 and not above & ~sum(1 << c for c in order[: rnd - 1]):
                 alts = self._alternates.get((order, rnd))
                 if alts is None:
                     rows = [a for a, _, _ in enumerate_alternates(order, rnd)]
@@ -417,6 +407,9 @@ class PivotCalculator:
     the scalar path.
 
     Each distinct piece of arithmetic is done once per calculator.  The
+    expected totals after every set of drops are built up front as one
+    table, ``T[dropped mask][candidate]`` (:func:`elections._expected_totals`),
+    from which :meth:`beats` and :meth:`tie_pair` read both rates.  The
     kernel is a function of two Poisson rates only, so :meth:`beats` and
     :meth:`tie_pair` cache it on the rate values: in symmetric profiles
     most comparisons share a pair.  Per key, the probability arrays are
@@ -445,7 +438,7 @@ class PivotCalculator:
         self.profile = profile
         self.tol = tol
         self.sequence_ties = sequence_ties
-        self._totals: dict[tuple[int, frozenset[int]], float] = {}
+        self._T = _expected_totals(profile).tolist()
         # Kernel results keyed on the two rates they are evaluated at.
         self._beats: dict[tuple[float, float], float] = {}
         self._ties: dict[tuple[float, float], tuple[float, float]] = {}
@@ -459,17 +452,11 @@ class PivotCalculator:
 
     # -- cached primitives -------------------------------------------------
 
-    def total(self, candidate: int, dropped: frozenset[int]) -> float:
-        key = (candidate, dropped)
-        val = self._totals.get(key)
-        if val is None:
-            val = expected_total(self.profile, candidate, dropped)
-            self._totals[key] = val
-        return val
-
-    def beats(self, winner: int, loser: int, dropped: frozenset[int]) -> float:
-        """P(winner's total exceeds loser's) in the round after ``dropped``."""
-        key = (self.total(winner, dropped), self.total(loser, dropped))
+    def beats(self, winner: int, loser: int, dropped: int) -> float:
+        """P(winner's total exceeds loser's) once the candidates in the
+        bitmask ``dropped`` are eliminated."""
+        totals = self._T[dropped]
+        key = (totals[winner], totals[loser])
         val = self._beats.get(key)
         if val is None:
             val = prob_strictly_greater(*key, self.tol)
@@ -478,10 +465,11 @@ class PivotCalculator:
             self._beats[key] = val
         return val
 
-    def tie_pair(
-        self, candidate: int, opponent: int, dropped: frozenset[int]
-    ) -> tuple[float, float]:
-        key = (self.total(candidate, dropped), self.total(opponent, dropped))
+    def tie_pair(self, candidate: int, opponent: int, dropped: int) -> tuple[float, float]:
+        """The kernel's tie terms for the two totals after the drops in the
+        bitmask ``dropped``."""
+        totals = self._T[dropped]
+        key = (totals[candidate], totals[opponent])
         val = self._ties.get(key)
         if val is None:
             val = self._ties[key] = tie_terms(*key, self.tol)
@@ -491,11 +479,12 @@ class PivotCalculator:
         """Product over rounds ``first..last`` (1-based) of "every later
         candidate beats the one dropped now", at that round's totals."""
         val = 1.0
+        dropped = sum(1 << c for c in order[: first - 1])
         for rnd in range(first, last + 1):
-            dropped = frozenset(order[: rnd - 1])
             loser = order[rnd - 1]
             for survivor in order[rnd:]:
                 val *= self.beats(survivor, loser, dropped)
+            dropped |= 1 << loser
         return val
 
     def sequence_prob(self, order: tuple[int, ...], full: bool) -> float:
@@ -518,10 +507,14 @@ class PivotCalculator:
             self._cols = np.full(self._plan.size + 1, np.nan)
             self._cols[0] = 1.0
             self._tie_sums = np.full(self._plan.size, np.nan)
+        k = self._plan.kappa
+        # Index (dropped * k + second) * k + first, as _pack makes it.
         for i in plan.cols[np.isnan(self._cols[plan.cols])].tolist():
-            self._cols[i] = self.beats(*self._plan.unpack(i - 1))
+            dropped, pair = divmod(i - 1, k * k)
+            self._cols[i] = self.beats(pair % k, pair // k, dropped)
         for i in plan.ties[np.isnan(self._tie_sums[plan.ties])].tolist():
-            brk, mk = self.tie_pair(*self._plan.unpack(i))
+            dropped, pair = divmod(i, k * k)
+            brk, mk = self.tie_pair(pair % k, pair // k, dropped)
             self._tie_sums[i] = brk + mk
 
     def _key_probs(self, cand: int, above: int) -> _KeyProbs:
@@ -554,14 +547,6 @@ class PivotCalculator:
         return parts
 
     # -- events and reports ------------------------------------------------
-
-    def direct_events(self, ballot: Ranking) -> list[DirectEvent]:
-        events = self.report(ballot, with_events=True).events
-        return [e for e in events if isinstance(e, DirectEvent)]
-
-    def indirect_events(self, ballot: Ranking) -> list[IndirectEvent]:
-        events = self.report(ballot, with_events=True).events
-        return [e for e in events if isinstance(e, IndirectEvent)]
 
     def report(
         self,
@@ -630,28 +615,6 @@ def drop_sequence_prob(
             f"order must be a permutation of all {profile.kappa} candidates"
         )
     return PivotCalculator(profile, tol).sequence_prob(order, full=True)
-
-
-def direct_pivot_prob(
-    profile: BallotProfile,
-    ballot: Sequence[int],
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> tuple[float, list[DirectEvent]]:
-    """Probability the ballot elects a candidate ranked on it."""
-    calc = PivotCalculator(profile, tol)
-    events = calc.direct_events(_check_ballot(profile, ballot))
-    return math.fsum(e.probability for e in events), events
-
-
-def indirect_pivot_prob(
-    profile: BallotProfile,
-    ballot: Sequence[int],
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> tuple[float, list[IndirectEvent]]:
-    """Probability the ballot changes the winner to an unhelped candidate."""
-    calc = PivotCalculator(profile, tol)
-    events = calc.indirect_events(_check_ballot(profile, ballot))
-    return math.fsum(e.probability for e in events), events
 
 
 def total_pivot_prob(

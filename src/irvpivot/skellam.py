@@ -3,9 +3,11 @@
 Every comparison of two candidates' vote totals in this package reduces to
 probabilities of the difference of two independent Poisson counts.  The pmf
 is computed by direct convolution of the two Poisson pmfs in the log domain,
-truncated once the neglected tail mass is below a configurable bound.  This
-is slower than a Bessel-function shortcut but has no special-function edge
-cases and is exact up to the truncation bound, including degenerate rates.
+truncated to a fixed window of 12 standard deviations plus 40 terms
+(:func:`_window`).  ``Tolerance.tail_eps`` is validated and passed along,
+but the window does not follow it yet (ROADMAP item 5), so every value
+gives the same results.  This is slower than a Bessel-function shortcut but
+has no special-function edge cases and handles degenerate rates exactly.
 """
 
 from __future__ import annotations

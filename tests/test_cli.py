@@ -116,6 +116,16 @@ def test_tail_eps_env_override(profile_path):
     assert res.returncode == 0
 
 
+def test_overflowing_utilities_message(profile_path):
+    res = run_cli(
+        "compute", "--profile", profile_path, "--ballot", "2,1,0",
+        "--utilities", "1e308,-1e308,0",
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("pivot: utility differences overflow")
+    assert "Traceback" not in res.stderr
+
+
 def test_bad_ballot_message(profile_path):
     res = run_cli("compute", "--profile", profile_path, "--ballot", "zero")
     assert res.returncode != 0

@@ -1,21 +1,22 @@
-"""Profile validation, support counting, and realized tabulation."""
+"""Profile validation, expected totals, the recipient table, and realized
+tabulation."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irvpivot import (
     BallotProfile,
     RealizedElection,
     admissible_rankings,
-    conditional_support,
     expected_total,
     tabulate,
 )
+from irvpivot.elections import _expected_totals, _recipients
 
 
 def test_profile_validation():
@@ -148,31 +149,18 @@ def test_non_integral_values_rejected():
         BallotProfile.from_dict({"kappa": 3, "rates": [{"ranking": ["1"], "rate": 1}]})
 
 
-def test_conditional_support_examples():
-    prof = BallotProfile(2, {(0,): 5.0})
-    assert conditional_support(prof, 0, 1, []) == 5.0
-    prof = BallotProfile(2, {(1, 0): 3.0})
-    assert conditional_support(prof, 0, 2, []) == 0.0
-    prof = BallotProfile(2, {(1, 0): 3.0, (0,): 2.0})
-    assert conditional_support(prof, 0, 2, [1]) == 5.0
-
-
-def test_conditional_support_errors():
-    prof = BallotProfile(3, {(0, 1): 1.0})
-    with pytest.raises(ValueError):
-        conditional_support(prof, 5, 1, [])
-    with pytest.raises(ValueError):
-        conditional_support(prof, 0, 1, [0])
-    with pytest.raises(ValueError):
-        conditional_support(prof, 0, 4, [])
-
-
 def test_expected_total_examples():
     prof = BallotProfile(2, {(0, 1): 4.0, (1,): 1.0})
     assert expected_total(prof, 1, []) == 1.0
     assert expected_total(prof, 1, [0]) == 5.0
+    assert expected_total(BallotProfile(2, {(0,): 5.0}), 0, []) == 5.0
+    assert expected_total(BallotProfile(2, {(1, 0): 3.0, (0,): 2.0}), 0, [1]) == 5.0
     with pytest.raises(ValueError):
         expected_total(prof, 1, [1])
+    with pytest.raises(ValueError):
+        expected_total(prof, 5, [])
+    with pytest.raises(ValueError):
+        expected_total(prof, 0, [3])
 
 
 def test_expected_total_reduces_to_first_place():
@@ -182,22 +170,9 @@ def test_expected_total_reduces_to_first_place():
         assert expected_total(prof, c, []) == first
 
 
-def test_expected_total_equals_capped_conditional_support():
-    # With d candidates dropped, a ballot's top survivor sits at position
-    # d+1 at the latest, so the position cap in conditional_support is
-    # vacuous there.
-    prof = BallotProfile(4, {(0, 1): 4.0, (1, 0, 2): 2.0, (2,): 7.0, (3, 2, 1, 0): 3.0})
-    for c in range(4):
-        for dropped in ([], [(c + 1) % 4], [(c + 1) % 4, (c + 2) % 4]):
-            cap = min(len(dropped) + 1, prof.max_length)
-            assert expected_total(prof, c, dropped) == conditional_support(
-                prof, c, cap, dropped
-            )
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.data())
-def test_conditional_support_monotonicity(data):
+def test_expected_total_monotone_in_dropped_set(data):
     kappa = data.draw(st.integers(2, 4))
     rankings = admissible_rankings(kappa)
     rates = {
@@ -211,13 +186,6 @@ def test_conditional_support_monotonicity(data):
     small = data.draw(st.sets(st.sampled_from(others), max_size=len(others)))
     extra = [c for c in others if c not in small]
     big = small | set(extra[:1])
-    # nondecreasing in the position cap
-    prev = 0.0
-    for cap in range(1, kappa + 1):
-        cur = conditional_support(prof, cand, min(cap, prof.max_length), sorted(small))
-        assert cur >= prev - 1e-12
-        prev = cur
-    # nondecreasing when the dropped set grows
     assert expected_total(prof, cand, sorted(big)) >= expected_total(
         prof, cand, sorted(small)
     ) - 1e-12
@@ -234,6 +202,59 @@ def test_pairwise_final_round_mass_accounting():
                 v for r, v in prof.rates.items() if c not in r and x not in r
             )
             assert pair == pytest.approx(total - exhausted, abs=1e-12)
+
+
+def _first_standing(ranking, active: int, kappa: int) -> int:
+    """The recipient-table rule for one ranking, written out."""
+    return next((c for c in ranking if active >> c & 1), kappa)
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4, 5, 6])
+def test_recipients_match_per_ranking_rule(kappa):
+    rankings = admissible_rankings(kappa)
+    recip = _recipients(rankings, kappa)
+    assert recip.shape == (1 << kappa, len(rankings))
+    want = [[_first_standing(r, active, kappa) for r in rankings] for active in range(1 << kappa)]
+    assert recip.tolist() == want
+    assert _recipients([], kappa).shape == (1 << kappa, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kappa=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    cut=st.integers(0, 5),
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 0.1, 1.0, 7.5, 5e-324, 1e300]),
+            st.floats(0.0, 1e6),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@example(kappa=6, seed=0, cut=0, values=[0.1])
+@example(kappa=4, seed=1, cut=2, values=[0.0])
+def test_totals_table_equals_expected_total(kappa, seed, cut, values):
+    # Every entry T[dropped, c] with c standing has the bits of the scalar
+    # walk, on any subset of the rankings a length limit admits; rates
+    # cycle through ``values``, so they repeat and may be zero.
+    max_length = max(1, kappa - cut)
+    pool = admissible_rankings(kappa, max_length)
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(pool), size=int(rng.integers(1, min(len(pool), 120) + 1)), replace=False)
+    prof = BallotProfile(
+        kappa, {pool[int(j)]: values[i % len(values)] for i, j in enumerate(picks)}, max_length
+    )
+    table = _expected_totals(prof)
+    assert table.shape == (1 << kappa, kappa)
+    for dropped in range((1 << kappa) - 1):
+        gone = [c for c in range(kappa) if dropped >> c & 1]
+        for c in range(kappa):
+            if dropped >> c & 1:
+                assert table[dropped, c] == 0.0
+            else:
+                assert table[dropped, c] == expected_total(prof, c, gone)
 
 
 def test_tabulate_examples():

@@ -17,7 +17,8 @@ from irvpivot import (
     tabulate,
     total_pivot_prob,
 )
-from irvpivot.oracle import _recipients, _tabulate_block
+from irvpivot.elections import _recipients
+from irvpivot.oracle import _tabulate_block
 
 from conftest import dirichlet_profile
 
@@ -165,7 +166,9 @@ def test_bad_ballots_rejected(ballot):
         mc_expected_utility(prof, ballot, [1.0, 0.0, 0.0], cfg)
 
 
-@pytest.mark.parametrize("utilities", [{0: 1.0, 1: 0.0}, [math.nan, 0.0, 0.0]])
+@pytest.mark.parametrize(
+    "utilities", [{0: 1.0, 1: 0.0}, [math.nan, 0.0, 0.0], [1e308, -1e308, 0.0]]
+)
 def test_expected_utility_rejects_bad_utilities(utilities):
     prof = dirichlet_profile(3, 30.0, seed=6)
     with pytest.raises(ValueError):

@@ -15,11 +15,9 @@ from irvpivot import (
     OracleConfig,
     admissible_rankings,
     best_ballot,
-    direct_pivot_prob,
     drop_sequence_prob,
     enumerate_alternates,
     expected_utility,
-    indirect_pivot_prob,
     mc_expected_utility,
     skellam_pmf,
     smdp_pivot_prob,
@@ -35,6 +33,18 @@ from conftest import brute_alternates, dirichlet_profile
 
 def two_ranking_profile(lam_a, lam_b):
     return BallotProfile(2, {(0,): lam_a, (1,): lam_b}, max_length=1)
+
+
+def direct_part(prof, ballot):
+    """A fresh report's ``p_direct`` and its direct events."""
+    rep = total_pivot_prob(prof, ballot, with_events=True)
+    return rep.p_direct, [e for e in rep.events if isinstance(e, DirectEvent)]
+
+
+def indirect_part(prof, ballot):
+    """A fresh report's ``p_indirect`` and its indirect events."""
+    rep = total_pivot_prob(prof, ballot, with_events=True)
+    return rep.p_indirect, [e for e in rep.events if isinstance(e, IndirectEvent)]
 
 
 # -- drop sequences ----------------------------------------------------------
@@ -76,7 +86,7 @@ def test_drop_sequence_prob_rejects_partial_orders():
 def test_direct_two_candidate_reduction():
     lam_a, lam_b = 7.0, 6.0
     prof = two_ranking_profile(lam_a, lam_b)
-    p, events = direct_pivot_prob(prof, [0])
+    p, events = direct_part(prof, [0])
     expect = 0.5 * (skellam_pmf(0, lam_a, lam_b) + skellam_pmf(-1, lam_a, lam_b))
     assert p == pytest.approx(expect, abs=1e-14)
     assert len(events) == 1
@@ -85,7 +95,7 @@ def test_direct_two_candidate_reduction():
 
 def test_direct_symmetric_three_candidates():
     prof = gen_uniform_profile(3, 30.0)
-    values = [direct_pivot_prob(prof, [c])[0] for c in range(3)]
+    values = [direct_part(prof, [c])[0] for c in range(3)]
     assert values[0] == values[1] == values[2]
 
 
@@ -95,7 +105,7 @@ def test_direct_singleton_profile_against_frozen_oracle():
     # The independence model sits below the simulated truth; agreement is
     # order-of-magnitude only.
     prof = BallotProfile(3, {(0,): 10.0, (1,): 10.0, (2,): 10.0}, max_length=1)
-    p, _ = direct_pivot_prob(prof, [0])
+    p, _ = direct_part(prof, [0])
     frozen_mc = 0.0902306
     assert frozen_mc / 10 < p < frozen_mc * 10
 
@@ -103,7 +113,7 @@ def test_direct_singleton_profile_against_frozen_oracle():
 def test_direct_event_count_and_validity():
     prof = dirichlet_profile(4, 40.0, seed=3)
     ballot = (2, 0, 1)
-    p, events = direct_pivot_prob(prof, ballot)
+    p, events = direct_part(prof, ballot)
     kappa = prof.kappa
     for ev in events:
         assert isinstance(ev, DirectEvent)
@@ -174,21 +184,21 @@ def test_enumerate_alternates_rejects_bad_round():
 
 def test_indirect_two_candidates_zero():
     prof = two_ranking_profile(5.0, 5.0)
-    p, events = indirect_pivot_prob(prof, [0])
+    p, events = indirect_part(prof, [0])
     assert p == 0.0 and events == []
 
 
 def test_indirect_no_final_round_saves():
     prof = dirichlet_profile(4, 40.0, seed=9)
     for ballot in [(0, 1, 2, 3), (2, 1), (3,)]:
-        _, events = indirect_pivot_prob(prof, ballot)
+        _, events = indirect_part(prof, ballot)
         assert all(ev.round_index <= prof.kappa - 2 for ev in events)
 
 
 def test_indirect_event_constraints():
     prof = dirichlet_profile(4, 40.0, seed=5)
     ballot = (1, 3)
-    p, events = indirect_pivot_prob(prof, ballot)
+    p, events = indirect_part(prof, ballot)
     assert p > 0
     for ev in events:
         assert isinstance(ev, IndirectEvent)
@@ -207,7 +217,7 @@ def test_indirect_example_against_frozen_oracle():
     # Monte-Carlo reference (10^7 draws, seed 20250808): adding ballot [0]
     # moves the win to a candidate other than 0 with frequency 0.0369332.
     prof = BallotProfile(3, {(0, 2): 6.0, (1,): 5.0, (2, 1): 5.0}, max_length=2)
-    p, events = indirect_pivot_prob(prof, [0])
+    p, events = indirect_part(prof, [0])
     frozen_mc = 0.0369332
     assert p > 0
     assert frozen_mc / 10 < p < frozen_mc * 10
@@ -220,11 +230,12 @@ def test_event_probability_bounded_by_sequence_factor():
     prof = dirichlet_profile(3, 45.0, seed=11)
     calc = PivotCalculator(prof)
     for ballot in [(0,), (1, 2), (2, 0, 1)]:
-        for ev in calc.direct_events(ballot):
-            bound = calc.sequence_prob(ev.drops + (ev.candidate,), full=False)
+        for ev in calc.report(ballot, with_events=True).events:
+            if isinstance(ev, DirectEvent):
+                bound = calc.sequence_prob(ev.drops + (ev.candidate,), full=False)
+            else:
+                bound = calc.sequence_prob(ev.base, full=True)
             assert ev.probability <= bound + 1e-15
-        for ev in calc.indirect_events(ballot):
-            assert ev.probability <= calc.sequence_prob(ev.base, full=True) + 1e-15
 
 
 # -- totals, utilities, best ballot -----------------------------------------
@@ -235,8 +246,9 @@ def test_total_is_sum_of_components():
     for ballot in [(0,), (1, 0), (2, 1, 0)]:
         rep = total_pivot_prob(prof, ballot)
         assert rep.p_total == rep.p_direct + rep.p_indirect
-        d, _ = direct_pivot_prob(prof, ballot)
-        i, _ = indirect_pivot_prob(prof, ballot)
+        # Listing the events does not change the sums.
+        d, _ = direct_part(prof, ballot)
+        i, _ = indirect_part(prof, ballot)
         assert rep.p_direct == d and rep.p_indirect == i
 
 
@@ -287,6 +299,22 @@ def test_expected_utility_missing_entry():
         expected_utility(prof, [0], {0: 1.0, 1: 0.5})
     with pytest.raises(ValueError):
         expected_utility(prof, [0], [1.0, 0.5])
+
+
+@pytest.mark.filterwarnings("error")
+def test_utilities_whose_difference_overflows_are_rejected():
+    # Each utility is finite, but u[0] - u[1] is not: before the check, a
+    # report gave inf with a numpy overflow warning, and best_ballot raised
+    # "-inf + inf in fsum".
+    prof = gen_uniform_profile(3, 30.0)
+    bad = (1e308, -1e308, 0.0)
+    with pytest.raises(ValueError, match="utility differences overflow"):
+        PivotCalculator(prof).report((0,), bad)
+    with pytest.raises(ValueError, match="utility differences overflow"):
+        best_ballot(prof, bad)
+    # The largest spread that stays finite is accepted as given.
+    edge = (8e307, -8e307, 0.0)
+    assert math.isfinite(PivotCalculator(prof).report((2, 1, 0), edge).expected_utility)
 
 
 def test_expected_utility_sign_agrees_with_oracle():
@@ -452,8 +480,8 @@ def test_event_list_agrees_with_report_sums(name, sequence_ties, ballot):
     assert math.fsum(e.probability for e in direct) == rep.p_direct
     assert math.fsum(e.probability for e in indirect) == rep.p_indirect
     assert math.fsum(e.probability * e.utility_swing for e in rep.events) == rep.expected_utility
-    assert [e.probability for e in direct] == [e.probability for e in calc.direct_events(ballot)]
-    assert [e.probability for e in indirect] == [e.probability for e in calc.indirect_events(ballot)]
+    # A warm calculator lists the same events with the same bits.
+    assert calc.report(ballot, u, with_events=True).events == rep.events
     assert calc.report(ballot).events is None
 
 
@@ -468,6 +496,9 @@ def test_event_list_agrees_with_report_sums(name, sequence_ties, ballot):
 @example(kappa=4, seed=1, truncated=True, sequence_ties=True, pick=7)
 @example(kappa=5, seed=2, truncated=False, sequence_ties=True, pick=10**6)
 def test_event_probabilities_match_scalar_arithmetic(kappa, seed, truncated, sequence_ties, pick):
+    def mask(dropped):
+        return sum(1 << c for c in dropped)
+
     # Each event evaluated on arrays must give the bits of the scalar
     # product it stands for, with the same association.
     max_length = kappa - 1 if truncated else kappa
@@ -481,11 +512,11 @@ def test_event_probabilities_match_scalar_arithmetic(kappa, seed, truncated, seq
     for ev in events:
         if isinstance(ev, DirectEvent):
             order = ev.drops + (ev.candidate,)
-            brk, mk = calc.tie_pair(ev.candidate, ev.runner_up, frozenset(ev.drops[:-1]))
+            brk, mk = calc.tie_pair(ev.candidate, ev.runner_up, mask(ev.drops[:-1]))
             want = calc.sequence_prob(order, full=False) * 0.5 * (brk + mk)
         else:
             rnd = ev.round_index
-            brk, mk = calc.tie_pair(ev.candidate, ev.displaced, frozenset(ev.base[: rnd - 1]))
+            brk, mk = calc.tie_pair(ev.candidate, ev.displaced, mask(ev.base[: rnd - 1]))
             want = (
                 calc.sequence_prob(ev.base, full=True)
                 * calc._round_product(ev.alternate, rnd + 1, kappa - 1)

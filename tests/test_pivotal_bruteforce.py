@@ -2,8 +2,11 @@
 
 The reference below re-derives direct and indirect probabilities with no
 caching, no shared state, and its own loop structure, straight from the
-event definitions.  Any bug in the calculator's memoization or index
-plumbing shows up as a mismatch here.
+event definitions.  It shares no totals code with the engine either: it
+takes each round's totals from ``expected_total``, which walks the rankings
+one at a time, while the engine reads them from a table built over the
+recipient table.  Any bug in the calculator's memoization, its totals
+table or its index plumbing shows up as a mismatch here.
 """
 
 import math
@@ -15,9 +18,9 @@ import pytest
 
 from irvpivot import (
     BallotProfile,
-    direct_pivot_prob,
+    DirectEvent,
+    IndirectEvent,
     expected_total,
-    indirect_pivot_prob,
     prob_strictly_greater,
     skellam_pmf,
     total_pivot_prob,
@@ -113,8 +116,8 @@ def test_engine_matches_reference(profile):
     for ballot in ballots:
         want_d = ref_direct(profile, ballot)
         want_i = ref_indirect(profile, ballot)
-        got_d, _ = direct_pivot_prob(profile, ballot)
-        got_i, _ = indirect_pivot_prob(profile, ballot)
+        fresh = total_pivot_prob(profile, ballot)
+        got_d, got_i = fresh.p_direct, fresh.p_indirect
         assert got_d == pytest.approx(want_d, rel=1e-12, abs=1e-15)
         assert got_i == pytest.approx(want_i, rel=1e-12, abs=1e-15)
         # a warm shared calculator agrees with fresh single-use ones
@@ -164,10 +167,10 @@ def test_three_candidate_event_taxonomy():
     profile = dirichlet_profile(3, 45.0, seed=21)
     kappa = 3
     for ballot in [(0,), (1, 0), (2, 0, 1)]:
-        calc = PivotCalculator(profile)
-        got_direct = {(e.position, e.drops) for e in calc.direct_events(ballot)}
+        events = PivotCalculator(profile).report(ballot, with_events=True).events
+        got_direct = {(e.position, e.drops) for e in events if isinstance(e, DirectEvent)}
         got_indirect = {
-            (e.position, e.base, e.alternate) for e in calc.indirect_events(ballot)
+            (e.position, e.base, e.alternate) for e in events if isinstance(e, IndirectEvent)
         }
         want_direct = set()
         want_indirect = set()
