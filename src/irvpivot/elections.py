@@ -9,9 +9,10 @@ maps rankings to expected counts (Poisson rates); a
 
 The ballot-transfer rule, "a ballot counts for its highest-ranked candidate
 still standing", lives in :func:`_recipients`, a table over every active
-set that both the pivot engine (through :func:`_expected_totals`) and the
-Monte-Carlo oracle count with.  :func:`expected_total` applies the same
-rule one ranking at a time and is kept as the reference for that table.
+set that both the pivot engine and the Monte-Carlo oracle count with.
+Called without a candidate, :func:`expected_total` sums it into every
+expected total at once, the table the engine reads; called with one, it
+applies the rule one ranking at a time, the reference for that table.
 """
 
 from __future__ import annotations
@@ -304,15 +305,32 @@ class RealizedElection:
 
 
 def expected_total(
-    profile: BallotProfile, candidate: int, dropped: Sequence[int]
-) -> float:
+    profile: BallotProfile, candidate: int | None = None, dropped: Sequence[int] = ()
+) -> float | np.ndarray:
     """Expected vote total of ``candidate`` after ``dropped`` are eliminated.
 
     A ballot counts for its highest-ranked candidate not yet eliminated;
     ballots listing only eliminated candidates are exhausted.  This walks
-    the rankings one at a time; the engine reads the same totals from
-    :func:`_expected_totals`.
+    the rankings one at a time.
+
+    Without a candidate it returns every total at once, the table
+    ``T[dropped, c]`` that the pivot engine reads: the total of ``c`` once
+    the candidates in the bitmask ``dropped`` are eliminated, 0.0 for a
+    dropped ``c``.  Each entry is the ``math.fsum`` of the rates whose
+    ballots :func:`_recipients` gives to ``c``, the multiset the walk sums,
+    so it has the walk's bits.
     """
+    if candidate is None:
+        if len(dropped):
+            raise ValueError("dropped candidates need a candidate")
+        kappa = profile.kappa
+        rates = np.array(list(profile.rates.values()))
+        # Row ``dropped`` of the table is active set ``full ^ dropped``, and
+        # ``full ^ dropped == full - dropped``: the recipient rows reversed.
+        recip = _recipients(list(profile.rates), kappa)[::-1]
+        return np.array(
+            [[math.fsum(rates[row == c].tolist()) for c in range(kappa)] for row in recip]
+        )
     if not 0 <= candidate < profile.kappa:
         raise ValueError(f"candidate {candidate} out of range")
     dropped_set = frozenset(int(c) for c in dropped)
@@ -345,32 +363,6 @@ def _recipients(rankings: Sequence[Ranking], kappa: int) -> np.ndarray:
     for cand in padded.T[::-1]:
         recip = np.where(masks >> cand & 1 == 1, cand, recip)
     return recip
-
-
-def _expected_totals(profile: BallotProfile) -> np.ndarray:
-    """``T[dropped, c]``: the expected total of candidate ``c`` once the
-    candidates in the bitmask ``dropped`` are eliminated.
-
-    Each entry is the ``math.fsum`` of the rates its ballots carry, the
-    same multiset :func:`expected_total` sums, so it has the same bits.
-    Entries of dropped candidates are 0.0.
-    """
-    kappa = profile.kappa
-    rates = np.array(list(profile.rates.values()))
-    # Row ``dropped`` of the table is active set ``full ^ dropped``, and
-    # ``full ^ dropped == full - dropped``: the recipient rows reversed.
-    recip = _recipients(list(profile.rates), kappa)[::-1]
-    # Per row, the rates grouped by recipient and where each group ends.
-    grouped = rates[np.argsort(recip, axis=1, kind="stable")].tolist()
-    offsets = np.arange(len(recip))[:, None] * (kappa + 1)
-    counts = np.bincount((recip + offsets).ravel(), minlength=len(recip) * (kappa + 1))
-    ends = counts.reshape(-1, kappa + 1)[:, :kappa].cumsum(axis=1).tolist()
-    return np.array(
-        [
-            [math.fsum(row[a:b]) for a, b in zip([0] + cuts, cuts)]
-            for row, cuts in zip(grouped, ends)
-        ]
-    )
 
 
 def _realized_totals(

@@ -37,9 +37,9 @@ from .elections import (
     Ranking,
     _as_ranking,
     _check_ballot,
-    _expected_totals,
     _utility_vector,
     admissible_rankings,
+    expected_total,
 )
 from .skellam import DEFAULT_TOLERANCE, Tolerance, prob_strictly_greater, skellam_pmf, tie_terms
 
@@ -408,7 +408,7 @@ class PivotCalculator:
 
     Each distinct piece of arithmetic is done once per calculator.  The
     expected totals after every set of drops are built up front as one
-    table, ``T[dropped mask][candidate]`` (:func:`elections._expected_totals`),
+    table, ``T[dropped mask][candidate]`` (:func:`elections.expected_total`),
     from which :meth:`beats` and :meth:`tie_pair` read both rates.  The
     kernel is a function of two Poisson rates only, so :meth:`beats` and
     :meth:`tie_pair` cache it on the rate values: in symmetric profiles
@@ -438,7 +438,7 @@ class PivotCalculator:
         self.profile = profile
         self.tol = tol
         self.sequence_ties = sequence_ties
-        self._T = _expected_totals(profile).tolist()
+        self._T = expected_total(profile).tolist()
         # Kernel results keyed on the two rates they are evaluated at.
         self._beats: dict[tuple[float, float], float] = {}
         self._ties: dict[tuple[float, float], tuple[float, float]] = {}

@@ -16,7 +16,7 @@ from irvpivot import (
     expected_total,
     tabulate,
 )
-from irvpivot.elections import _expected_totals, _recipients
+from irvpivot.elections import _recipients
 
 
 def test_profile_validation():
@@ -161,6 +161,10 @@ def test_expected_total_examples():
         expected_total(prof, 5, [])
     with pytest.raises(ValueError):
         expected_total(prof, 0, [3])
+    # Without a candidate: the whole table, rows indexed by the dropped mask.
+    assert expected_total(prof).tolist() == [[4.0, 1.0], [0.0, 5.0], [4.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="need a candidate"):
+        expected_total(prof, dropped=[0])
 
 
 def test_expected_total_reduces_to_first_place():
@@ -246,7 +250,7 @@ def test_totals_table_equals_expected_total(kappa, seed, cut, values):
     prof = BallotProfile(
         kappa, {pool[int(j)]: values[i % len(values)] for i, j in enumerate(picks)}, max_length
     )
-    table = _expected_totals(prof)
+    table = expected_total(prof)
     assert table.shape == (1 << kappa, kappa)
     for dropped in range((1 << kappa) - 1):
         gone = [c for c in range(kappa) if dropped >> c & 1]
