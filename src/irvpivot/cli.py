@@ -115,8 +115,6 @@ def main(argv: list[str] | None = None) -> None:
 
     def common(p, ballot=False):
         p.add_argument("--profile", required=True, help="ballot profile JSON path")
-        p.add_argument("--tail-eps", type=float, default=None,
-                       help=f"series truncation bound (default {_ENV_TAIL_EPS} or 1e-12)")
         if ballot:
             p.add_argument("--ballot", required=True,
                            help="comma-separated candidate ids, best first")
@@ -163,8 +161,11 @@ def main(argv: list[str] | None = None) -> None:
                    help="fill the seconds column (breaks byte-reproducibility)")
     p.add_argument("--pairwise-approx", action="store_true",
                    help="use the head-to-head plurality variant")
-    p.add_argument("--tail-eps", type=float, default=None)
     p.set_defaults(func=_cmd_experiment)
+
+    for p in sub.choices.values():
+        p.add_argument("--tail-eps", type=float, default=None,
+                       help=f"series truncation bound (default {_ENV_TAIL_EPS} or 1e-12)")
 
     args = parser.parse_args(argv)
     try:

@@ -171,10 +171,7 @@ def admissible_rankings(
             candidates are returned; otherwise every length from 1 up to
             ``max_length`` is admissible.
     """
-    if max_length is None:
-        max_length = kappa
-    if not 1 <= max_length <= kappa:
-        raise ValueError(f"max_length must be in 1..{kappa}, got {max_length}")
+    kappa, max_length = _check_limits(kappa, max_length)
     from itertools import permutations
 
     lengths = [max_length] if full_length_only else range(1, max_length + 1)
@@ -331,9 +328,10 @@ def expected_total(
         return np.array(
             [[math.fsum(rates[row == c].tolist()) for c in range(kappa)] for row in recip]
         )
+    candidate = _integral(candidate, "candidate id")
     if not 0 <= candidate < profile.kappa:
         raise ValueError(f"candidate {candidate} out of range")
-    dropped_set = frozenset(int(c) for c in dropped)
+    dropped_set = frozenset(_integral(c, "dropped candidate id") for c in dropped)
     if candidate in dropped_set:
         raise ValueError(f"candidate {candidate} is in the dropped sequence")
     for c in dropped_set:

@@ -16,10 +16,15 @@ the ballot profile; pairwise comparisons within and across rounds are
 multiplied as if independent.  An event's score does not depend on the
 ballot, only which events a ballot position can decide does, and that
 depends only on the candidate there and the set ranked above it.
-:class:`PivotCalculator` therefore evaluates the events of each such key
-as numpy arrays, from a per-kappa index plan of the comparisons and tie
-terms each event multiplies, in the scalar path's order of operations, so
-every event keeps its bits.
+
+A per-kappa event table, built once, lists the elimination orders and,
+per candidate, every event a vote for it can decide, with the dropped set
+each one needs.  A key selects its events from it by that set.  Events
+share their arithmetic through orders: each event multiplies per-order
+folds of the survival products (an order's rounds but the last, all its
+rounds, or its rounds after a save) and one tie term, which
+:class:`PivotCalculator` computes the first time an event needs them, in
+the scalar path's order of operations, so every event keeps its bits.
 """
 
 from __future__ import annotations
@@ -197,42 +202,72 @@ def enumerate_alternates(
     return out
 
 
-def _pack(first, second, mask, kappa: int):
-    """Dense index of a ``(first, second, dropped)`` triple, ``dropped`` as
-    a bitmask; works elementwise on arrays."""
-    return (mask * kappa + second) * kappa + first
+class _EventTable(NamedTuple):
+    """The events of one kappa, shared by every calculator of that kappa.
+
+    ``orders`` are the kappa! elimination orders in :func:`permutations`
+    order, also as the rows of ``rows``.  ``events[c]`` holds four rows,
+    ``base, round_index, alternate, dropped``, with one column per event a
+    vote for candidate ``c`` can decide: orders by index, and ``dropped``
+    the bitmask of the base's rounds before ``round_index``.  The direct events
+    come first, one per order ``c`` wins, as saves in the final round
+    (``round_index = kappa - 1``): the base is that order with its last two
+    entries swapped, so the runner-up wins without the vote.  The indirect
+    events follow, one per alternate of :func:`enumerate_alternates` that
+    saves ``c``, in base order and then in the order of the alternates.  A
+    vote decides an event once every candidate ranked above ``c`` is in
+    ``dropped``.
+
+    A calculator keeps one value per slot.  Slot ``o * kappa`` holds
+    :meth:`PivotCalculator._round_product` of order ``o`` over rounds
+    ``1..kappa-2``, its ``head``, and slot ``o * kappa + r`` for ``r >= 1``
+    its product over rounds ``r+1..kappa-1``, the rounds after a save in
+    round ``r`` (1.0 for ``r = kappa - 1``).  One slot per ``(dropped,
+    opponent, candidate)`` follows, holding ``brk + mk``.  Per event,
+    ``slots[c]`` holds a column of four slots, ``head, final, tail, tie``, and the
+    event's probability is ``head * final * tail * 0.5 * tie``.  For an
+    indirect event they are the base's head and final round (``head *
+    final`` is bit for bit the base's product over all its rounds), the
+    alternate's rounds after the save and the save's tie term; for a direct
+    event, the alternate's head, 1.0, 1.0 and the final-round tie term.
+    """
+
+    orders: list[tuple[int, ...]]
+    rows: np.ndarray
+    events: list[np.ndarray]
+    slots: list[np.ndarray]
 
 
-def _prefix_masks(orders: np.ndarray) -> np.ndarray:
-    """``masks[:, r]`` is the bitmask of the first ``r`` entries of each order."""
-    masks = np.zeros(orders.shape, dtype=np.int64)
-    np.cumsum(np.left_shift(1, orders[:, :-1]), axis=1, out=masks[:, 1:])
-    return masks
+@functools.cache
+def _event_table(kappa: int) -> _EventTable:
+    orders = list(permutations(range(kappa)))
+    rows = np.array(orders, dtype=np.int32).reshape(-1, kappa)
+    masks = np.zeros_like(rows)
+    np.cumsum(np.left_shift(1, rows[:, :-1]), axis=1, out=masks[:, 1:])
+    index = {order: i for i, order in enumerate(orders)}
+    groups: list[list[np.ndarray]] = [[] for _ in range(kappa)]
+    for o, order in enumerate(orders):
+        swapped = order[:-2] + order[:-3:-1]
+        groups[order[-1]].append(np.array([(index[swapped], kappa - 1, o, masks[o, -2])]))
+    for b, base in enumerate(orders):
+        for rnd in range(1, kappa - 1):
+            alts = enumerate_alternates(base, rnd)
+            saves = [(b, rnd, index[alt], masks[b, rnd - 1]) for alt, _, _ in alts]
+            groups[base[rnd - 1]].append(np.array(saves).reshape(-1, 4))
+    events = [np.ascontiguousarray(np.concatenate(g).T, dtype=np.int32) for g in groups]
 
-
-def _fold_columns(orders: np.ndarray, last: int) -> tuple[np.ndarray, np.ndarray]:
-    """The comparison column of every factor that
-    :meth:`PivotCalculator._round_product` multiplies over rounds
-    ``1..last`` of each order, one row per factor in fold order, and the
-    round of each row."""
-    kappa = orders.shape[1]
-    masks = _prefix_masks(orders)
-    rows, rounds = [], []
-    for rnd in range(1, last + 1):
-        for later in range(rnd, kappa):
-            rows.append(1 + _pack(orders[:, later], orders[:, rnd - 1], masks[:, rnd - 1], kappa))
-            rounds.append(rnd)
-    cols = np.array(rows, dtype=np.int64).reshape(len(rows), len(orders))
-    return cols, np.array(rounds, dtype=np.int64)
-
-
-def _fold(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Per event, the left fold from 1.0 of its factors ``values[cols[:, e]]``:
-    the arithmetic of :meth:`PivotCalculator._round_product` on arrays."""
-    out = np.ones(cols.shape[1])
-    for row in cols:
-        out *= values[row]
-    return out
+    ties = kappa * len(orders)
+    slots = []
+    for cand, e in enumerate(events):
+        base, rnd, alt, dropped = e
+        direct = rnd == kappa - 1
+        slots.append(np.array([
+            np.where(direct, alt, base) * kappa,
+            np.where(direct, alt * kappa + kappa - 1, base * kappa + kappa - 2),
+            alt * kappa + rnd,
+            ties + (dropped * kappa + rows[alt, rnd - 1]) * kappa + cand,
+        ], dtype=np.int32))
+    return _EventTable(orders, rows, events, slots)
 
 
 def _partials(values: list[float]) -> list[float]:
@@ -252,146 +287,15 @@ def _partials(values: list[float]) -> list[float]:
     return out or [rest]
 
 
-def _swings(plan: "_KeyPlan", cand: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per event of a key, the utility the added vote gains: the direct
-    events' ``u[cand] - u[runner_up]`` and the indirect ones' ``u[new
-    winner] - u[old winner]``."""
-    return u[cand] - u[plan.runner_up], u[plan.new_winner] - u[plan.old_winner]
-
-
-def _listed(swings: np.ndarray | None, probs: np.ndarray) -> list:
-    """Per-event utility swings as floats, or ``None`` per event without utilities."""
-    return [None] * len(probs) if swings is None else swings.tolist()
-
-
-class _KeyPlan(NamedTuple):
-    """Index arrays of the events a vote decides at one ``(candidate,
-    set ranked above)`` key, in report order.  ``*_cols`` hold comparison
-    columns, one row per factor and one column per event; ``*_ties`` hold
-    tie rows."""
-
-    direct_cols: np.ndarray  # survival factors of each direct event
-    direct_ties: np.ndarray  # its final-round tie
-    runner_up: np.ndarray  # its final-round opponent
-    base_cols: np.ndarray  # every round of each group's base order
-    group: np.ndarray  # the group of each indirect event
-    tail_cols: np.ndarray  # the alternate's rounds after the save; 0 pads
-    indirect_ties: np.ndarray  # the saved candidate's last-place tie
-    new_winner: np.ndarray  # the alternate's winner
-    old_winner: np.ndarray  # the base order's winner
-    cols: np.ndarray  # every column used above, once
-    ties: np.ndarray  # every tie row used above, once
-
-
 class _KeyProbs(NamedTuple):
-    """A calculator's event probabilities at one key, in report order, and
-    their exact partials."""
+    """The events a vote decides at one ``(candidate, set ranked above)``
+    key, as columns of the event table in report order, direct events
+    first, with their probabilities and the exact partials of each kind."""
 
-    plan: _KeyPlan
-    direct: np.ndarray
-    indirect: np.ndarray
+    picked: np.ndarray
+    probs: np.ndarray
     direct_partials: list[float]
     indirect_partials: list[float]
-
-
-class _Plan:
-    """The index plan of one kappa, shared by every calculator of that kappa.
-
-    A calculator's reports read two vectors.  Column ``1 + _pack(winner,
-    loser, dropped)`` of the comparison vector holds ``beats(winner, loser,
-    dropped)``, and column 0 holds the 1.0 that pads a fold.  Row
-    ``_pack(candidate, opponent, dropped)`` of the tie vector holds ``brk +
-    mk`` from ``tie_pair(candidate, opponent, dropped)``.  The plan lists
-    per key, built on first use, the indices its events read, as narrow
-    integer arrays.  It keeps the alternates of each group for
-    :meth:`walk`, which lists the events themselves.
-    """
-
-    def __init__(self, kappa: int):
-        self.kappa = kappa
-        self.size = kappa * kappa << kappa
-        self._index = np.min_scalar_type(self.size)
-        self._keys: dict[tuple[int, int], _KeyPlan] = {}
-        self._alternates: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
-
-    def walk(self, cand: int, above: int):
-        """The events a vote for ``cand`` can decide once the candidates in
-        the bitmask ``above`` have dropped.
-
-        Returns ``(orders, groups)`` in report order.  ``orders`` are the
-        direct events' elimination orders (``cand`` last): the vote reaches
-        ``cand`` in the final round unless the opponent is ranked above.
-        ``groups`` holds a ``(base, round_index, alternates)`` triple for
-        each order that drops ``cand`` in a round the vote can decide.
-        ``alternates`` holds the alternate orders of
-        :func:`enumerate_alternates` for that save, one per row, made once
-        per ``(base, round_index)`` and shared by every key that reaches it.
-        """
-        kappa = self.kappa
-        orders, groups = [], []
-        for order in permutations(range(kappa)):
-            rnd = order.index(cand) + 1
-            if rnd == kappa and not above >> order[-2] & 1:
-                orders.append(order)
-            # A save in round kappa - 1 is the final-round contest itself,
-            # which the direct events score.
-            elif rnd <= kappa - 2 and not above & ~sum(1 << c for c in order[: rnd - 1]):
-                alts = self._alternates.get((order, rnd))
-                if alts is None:
-                    rows = [a for a, _, _ in enumerate_alternates(order, rnd)]
-                    alts = np.array(rows, dtype=np.int8).reshape(-1, kappa)
-                    self._alternates[order, rnd] = alts
-                groups.append((order, rnd, alts))
-        return orders, groups
-
-    def key(self, cand: int, above: int) -> _KeyPlan:
-        plan = self._keys.get((cand, above))
-        if plan is None:
-            plan = self._keys[cand, above] = self._build(cand, above)
-        return plan
-
-    def _build(self, cand: int, above: int) -> _KeyPlan:
-        kappa = self.kappa
-        orders, groups = self.walk(cand, above)
-        direct = np.array(orders, dtype=np.int64).reshape(-1, kappa)
-        direct_cols, _ = _fold_columns(direct, kappa - 2)
-        direct_ties = _pack(direct[:, -1], direct[:, -2], _prefix_masks(direct)[:, -2], kappa)
-
-        base = np.array([g[0] for g in groups], dtype=np.int64).reshape(-1, kappa)
-        base_cols, _ = _fold_columns(base, kappa - 1)
-        sizes = [len(g[2]) for g in groups]
-        group = np.repeat(np.arange(len(groups)), sizes)
-        saved = np.repeat(np.array([g[1] for g in groups], dtype=np.int64), sizes)
-        alt = np.concatenate([np.empty((0, kappa), np.int8)] + [g[2] for g in groups])
-        alt = alt.astype(np.int64)
-        tail_cols, rounds = _fold_columns(alt, kappa - 1)
-        tail_cols = np.where(rounds[:, None] > saved, tail_cols, 0)
-        # Rows up to the earliest save hold padding only.
-        tail_cols = tail_cols[rounds > saved.min(initial=kappa)]
-        at_save = (np.arange(len(alt)), saved - 1)
-        indirect_ties = _pack(cand, alt[at_save], _prefix_masks(alt)[at_save], kappa)
-
-        cols = np.unique(np.concatenate([a.ravel() for a in (direct_cols, base_cols, tail_cols)]))
-        ties = np.unique(np.concatenate([direct_ties, indirect_ties]))
-        idx = self._index
-        return _KeyPlan(
-            direct_cols=direct_cols.astype(idx),
-            direct_ties=direct_ties.astype(idx),
-            runner_up=direct[:, -2].astype(np.int8),
-            base_cols=base_cols.astype(idx),
-            group=group.astype(np.min_scalar_type(len(groups))),
-            tail_cols=tail_cols.astype(idx),
-            indirect_ties=indirect_ties.astype(idx),
-            new_winner=alt[:, -1].astype(np.int8),
-            old_winner=base[group, -1].astype(np.int8),
-            cols=cols[cols > 0].astype(idx),
-            ties=ties.astype(idx),
-        )
-
-
-@functools.cache
-def _plan(kappa: int) -> _Plan:
-    return _Plan(kappa)
 
 
 class PivotCalculator:
@@ -399,12 +303,17 @@ class PivotCalculator:
 
     An event's probability depends only on the profile; the ballot only
     decides which events count, through the ``(candidate, set ranked
-    above)`` key of each position.  A per-kappa index plan lists, per key,
-    the comparison columns and tie rows each event multiplies.  A report
-    fills the key's missing columns and rows through :meth:`beats` and
-    :meth:`tie_pair`, and evaluates the key's events with the left fold of
-    :meth:`_round_product`, so every event gets the same IEEE product as
-    the scalar path.
+    above)`` key of each position.  A key's events are the rows of the
+    per-kappa event table (:func:`_event_table`) that the candidate's vote
+    decides once every candidate ranked above it has dropped: its direct
+    events, won against a runner-up not ranked above it, and its indirect
+    ones, which save it earlier.  A direct event scores ``head * 0.5 * (brk
+    + mk)`` and an indirect one ``full * tail * 0.5 * (brk + mk)``, each
+    product in this order.  ``head``, ``full`` and ``tail`` are per-order
+    left folds of :meth:`_round_product` (an order's rounds but the last,
+    all its rounds, and an alternate's rounds after the save; ``full`` as
+    ``head`` times the final round), so every event gets the same IEEE
+    product as the scalar path.
 
     Each distinct piece of arithmetic is done once per calculator.  The
     expected totals after every set of drops are built up front as one
@@ -412,12 +321,14 @@ class PivotCalculator:
     from which :meth:`beats` and :meth:`tie_pair` read both rates.  The
     kernel is a function of two Poisson rates only, so :meth:`beats` and
     :meth:`tie_pair` cache it on the rate values: in symmetric profiles
-    most comparisons share a pair.  Per key, the probability arrays are
-    kept with their exact partials (:func:`_partials`), a few floats with
-    the arrays' exact sum, and the utility gains' partials are kept per
-    utility vector.  A report sums its keys' partials with ``math.fsum``,
-    which gives the correctly rounded sum of all its events, independent of
-    enumeration order, and builds event objects only when asked for them.
+    most comparisons share a pair.  Folds and tie terms are computed the
+    first time an event needs them, so a report evaluates only what its
+    ballot can reach.  Per key, the probability arrays are kept with their
+    exact partials (:func:`_partials`), a few floats with the arrays' exact
+    sum, and the utility gains' partials are kept per utility vector.  A
+    report sums its keys' partials with ``math.fsum``, which gives the
+    correctly rounded sum of all its events, independent of enumeration
+    order, and builds event objects only when asked for them.
 
     Args:
         profile: Expected ballot counts.
@@ -442,11 +353,9 @@ class PivotCalculator:
         # Kernel results keyed on the two rates they are evaluated at.
         self._beats: dict[tuple[float, float], float] = {}
         self._ties: dict[tuple[float, float], tuple[float, float]] = {}
-        self._plan = _plan(profile.kappa)
-        # The comparison and tie vectors of _Plan, made by the first report
-        # (their length grows as 2**kappa, and the scalar path needs neither).
-        self._cols: np.ndarray | None = None
-        self._tie_sums: np.ndarray | None = None
+        # The slots of _EventTable; NaN marks a value not computed yet.
+        k = profile.kappa
+        self._values = np.full(k * math.factorial(k) + (k * k << k), np.nan)
         self._probs: dict[tuple[int, int], _KeyProbs] = {}
         self._gains: dict[tuple[int, int, tuple[float, ...]], list[float]] = {}
 
@@ -500,50 +409,57 @@ class PivotCalculator:
 
     # -- events of one key -------------------------------------------------
 
-    def _fill(self, plan: _KeyPlan) -> None:
-        """Fill the key's comparison columns and tie rows not filled yet."""
-        if self._cols is None:
-            # NaN marks an entry not filled yet.
-            self._cols = np.full(self._plan.size + 1, np.nan)
-            self._cols[0] = 1.0
-            self._tie_sums = np.full(self._plan.size, np.nan)
-        k = self._plan.kappa
-        # Index (dropped * k + second) * k + first, as _pack makes it.
-        for i in plan.cols[np.isnan(self._cols[plan.cols])].tolist():
-            dropped, pair = divmod(i - 1, k * k)
-            self._cols[i] = self.beats(pair % k, pair // k, dropped)
-        for i in plan.ties[np.isnan(self._tie_sums[plan.ties])].tolist():
-            dropped, pair = divmod(i, k * k)
-            brk, mk = self.tie_pair(pair % k, pair // k, dropped)
-            self._tie_sums[i] = brk + mk
+    def _slot_values(self, slots: np.ndarray) -> np.ndarray:
+        """The values at ``slots``, each computed the first time it is read."""
+        vals = self._values[slots]
+        missing = np.isnan(vals)
+        if missing.any():
+            k = self.profile.kappa
+            orders = _event_table(k).orders
+            ties = k * len(orders)
+            for slot in np.unique(slots[missing]).tolist():
+                if slot < ties:
+                    o, r = divmod(slot, k)
+                    val = self._round_product(orders[o], r + 1 if r else 1, k - 1 if r else k - 2)
+                else:
+                    dropped, pair = divmod(slot - ties, k * k)
+                    brk, mk = self.tie_pair(pair % k, pair // k, dropped)
+                    val = brk + mk
+                self._values[slot] = val
+            vals = self._values[slots]
+        return vals
 
     def _key_probs(self, cand: int, above: int) -> _KeyProbs:
-        """The key's direct and indirect event probabilities and their partials.
-
-        A direct event is ``survival * 0.5 * (brk + mk)`` and an indirect one
-        ``base * tail * 0.5 * (brk + mk)``, each product in this order.
-        """
+        """The key's direct and indirect event probabilities and their partials."""
         probs = self._probs.get((cand, above))
         if probs is None:
-            plan = self._plan.key(cand, above)
-            self._fill(plan)
-            cols, ties = self._cols, self._tie_sums
-            direct = _fold(cols, plan.direct_cols) * 0.5 * ties[plan.direct_ties]
-            base = _fold(cols, plan.base_cols)[plan.group]
-            indirect = base * _fold(cols, plan.tail_cols) * 0.5 * ties[plan.indirect_ties]
+            table = _event_table(self.profile.kappa)
+            picked = np.flatnonzero(table.events[cand][3] & above == above)
+            head, final, tail, tie = self._slot_values(table.slots[cand][:, picked])
+            p = head * final * tail * 0.5 * tie
+            # Direct events come first in a candidate's columns.
+            n = np.searchsorted(picked, math.factorial(self.profile.kappa - 1))
             probs = self._probs[cand, above] = _KeyProbs(
-                plan, direct, indirect, _partials(direct.tolist()), _partials(indirect.tolist())
+                picked, p, _partials(p[:n].tolist()), _partials(p[n:].tolist())
             )
         return probs
+
+    def _swings(self, events: np.ndarray, u: tuple[float, ...]) -> np.ndarray:
+        """Per event of ``events``, columns of the event table, the utility
+        the added vote gains, ``u[new winner] - u[old winner]``:
+        ``u[candidate] - u[runner_up]`` for a direct event."""
+        winner = _event_table(self.profile.kappa).rows[:, -1]
+        u = np.array(u)
+        return u[winner[events[2]]] - u[winner[events[0]]]
 
     def _gain_partials(self, cand: int, above: int, u: tuple[float, ...]) -> list[float]:
         """Partials of the key's utility gains, ``probability * swing`` per event."""
         parts = self._gains.get((cand, above, u))
         if parts is None:
             probs = self._key_probs(cand, above)
-            d_swing, i_swing = _swings(probs.plan, cand, np.array(u))
-            gains = (probs.direct * d_swing).tolist() + (probs.indirect * i_swing).tolist()
-            parts = self._gains[cand, above, u] = _partials(gains)
+            events = _event_table(self.profile.kappa).events[cand][:, probs.picked]
+            gains = probs.probs * self._swings(events, u)
+            parts = self._gains[cand, above, u] = _partials(gains.tolist())
         return parts
 
     # -- events and reports ------------------------------------------------
@@ -565,22 +481,21 @@ class PivotCalculator:
             if u is not None:
                 gains += self._gain_partials(cand, above, u)
             if with_events:
-                d_swing = i_swing = None
+                table = _event_table(self.profile.kappa)
+                events = table.events[cand][:, probs.picked]
+                swings = [None] * len(probs.picked)
                 if u is not None:
-                    d_swing, i_swing = _swings(probs.plan, cand, np.array(u))
-                orders, groups = self._plan.walk(cand, above)
-                d_prob, i_prob = probs.direct, probs.indirect
-                d_rows = zip(orders, d_prob.tolist(), _listed(d_swing, d_prob), strict=True)
-                for order, prob, swing in d_rows:
-                    direct_ev.append(DirectEvent(pos, cand, order[:-1], order[-2], prob, swing))
-                alts = [
-                    (base, rnd, alt, alt[rnd - 1], alt[rnd:])
-                    for base, rnd, group in groups
-                    for alt in map(tuple, group.tolist())
-                ]
-                i_rows = zip(alts, i_prob.tolist(), _listed(i_swing, i_prob), strict=True)
-                for alt, prob, swing in i_rows:
-                    indirect_ev.append(IndirectEvent(pos, cand, *alt, prob, swing))
+                    swings = self._swings(events, u).tolist()
+                orders = table.orders
+                rows = zip(*events[:3].tolist(), probs.probs.tolist(), swings)
+                for b, rnd, a, prob, swing in rows:
+                    alt = orders[a]
+                    if rnd == len(alt) - 1:
+                        direct_ev.append(DirectEvent(pos, cand, alt[:-1], alt[-2], prob, swing))
+                    else:
+                        indirect_ev.append(IndirectEvent(
+                            pos, cand, orders[b], rnd, alt, alt[rnd - 1], alt[rnd:], prob, swing
+                        ))
             above |= 1 << cand
         p_direct = math.fsum(direct)
         p_indirect = math.fsum(indirect)

@@ -116,6 +116,14 @@ def test_tail_eps_env_override(profile_path):
     assert res.returncode == 0
 
 
+@pytest.mark.parametrize("command", ["compute", "sweep", "smdp", "oracle", "experiment"])
+def test_tail_eps_help(command):
+    res = run_cli(command, "--help")
+    assert res.returncode == 0, res.stderr
+    text = " ".join(res.stdout.split())
+    assert "--tail-eps TAIL_EPS series truncation bound (default PIVOT_TAIL_EPS or 1e-12)" in text
+
+
 def test_overflowing_utilities_message(profile_path):
     res = run_cli(
         "compute", "--profile", profile_path, "--ballot", "2,1,0",

@@ -165,6 +165,12 @@ def test_expected_total_examples():
     assert expected_total(prof).tolist() == [[4.0, 1.0], [0.0, 5.0], [4.0, 0.0], [0.0, 0.0]]
     with pytest.raises(ValueError, match="need a candidate"):
         expected_total(prof, dropped=[0])
+    # Ids are read as ids: 1.7 is not truncated to candidate 1.
+    with pytest.raises(ValueError, match="dropped candidate id must be an integer, got 1.7"):
+        expected_total(BallotProfile(3, {(1, 0): 2.0, (0,): 1.0}), 0, [1.7])
+    with pytest.raises(ValueError, match="candidate id must be an integer, got 0.5"):
+        expected_total(prof, 0.5, [])
+    assert expected_total(BallotProfile(3, {(1, 0): 2.0, (0,): 1.0}), 0.0, [np.int64(1)]) == 3.0
 
 
 def test_expected_total_reduces_to_first_place():
@@ -309,6 +315,18 @@ def test_admissible_rankings_counts_and_order():
     full3 = admissible_rankings(3, full_length_only=True)
     assert len(full3) == 6
     assert len(admissible_rankings(4, max_length=2)) == 4 + 12
+
+
+def test_admissible_rankings_validates_limits():
+    with pytest.raises(ValueError, match="kappa must be at least 2, got 1"):
+        admissible_rankings(1)
+    with pytest.raises(ValueError, match="kappa must be an integer, got 2.5"):
+        admissible_rankings(2.5)
+    with pytest.raises(ValueError, match="max_length must be an integer, got 1.5"):
+        admissible_rankings(3, 1.5)
+    with pytest.raises(ValueError, match=r"max_length must be in 1\.\.3, got 4"):
+        admissible_rankings(3, 4)
+    assert admissible_rankings(3.0, np.int64(2)) == admissible_rankings(3, 2)
 
 
 def test_relabeled_profile():

@@ -1,5 +1,7 @@
 """Pivotality engine: enumeration, probabilities, utilities, best ballot."""
 
+import hashlib
+import json
 import math
 from itertools import permutations
 
@@ -485,6 +487,32 @@ def test_event_list_agrees_with_report_sums(name, sequence_ties, ballot):
     assert calc.report(ballot).events is None
 
 
+# sha256 of each report's JSON with its events, ``json.dumps(report.to_dict(True))``,
+# recorded from the per-key index-plan engine: (kappa, ballot, sequence_ties,
+# with utilities, digest).  The event order is part of the report JSON.
+EVENT_JSON = [
+    (2, (0,), False, False, "018fbae92441934e1422e136f9ef2fc308fdd192d07e01cde3903629dbb3c75a"),
+    (2, (1, 0), True, True, "a7c055608e4d91804f2d7aa23664d3e73d1455af46e957dedc9ea48b2400ca3d"),
+    (3, (0,), False, True, "7710bdbeb39760c02f453b2e976349aa20167c5d564c76ee4ff60f083343be37"),
+    (3, (2, 0, 1), True, False, "c754b3c42407e21e6fa2597fd19d9c5a9e9fd8605320f42571ddea4c01be1e34"),
+    (4, (1, 3), False, False, "9c04328de0be300f1b0b6b121655cbeddcf1ce1b218a6759f703c7db3a599098"),
+    (4, (3, 0, 2, 1), True, True, "befede1c738e805aeaa59ddeaa2cf47f5278d31381c0a17eb9303ce086611eea"),
+    (5, (4,), True, False, "8e7567898d8a60d1298af3080b2ec5c76b49b5565fbadbd756b69733dabed175"),
+    (5, (0, 2, 1), False, True, "219b05be838caa6d431de858ebddbbd652c8093ad169a3b01e9a81341888308e"),
+    (6, (5, 0), False, True, "629fbc31c8c8f1ac2516d0258603d3562860738bfbd921ecaf2a4e230664bf73"),
+    (6, (2, 4, 1, 0, 3, 5), True, False, "ea98174f8796f8c50fa8d4b2046ccc38ea8466a0cab896a6bbe13b9989866d08"),
+]
+
+
+@pytest.mark.parametrize("kappa,ballot,sequence_ties,with_utilities,digest", EVENT_JSON)
+def test_event_json_pinned(kappa, ballot, sequence_ties, with_utilities, digest):
+    prof = dirichlet_profile(kappa, 30.0 * kappa, seed=kappa)
+    u = (1.0, 0.25, 0.6, 0.0, 0.8, -0.5)[:kappa] if with_utilities else None
+    rep = PivotCalculator(prof, sequence_ties=sequence_ties).report(ballot, u, with_events=True)
+    data = json.dumps(rep.to_dict(with_events=True)).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     kappa=st.integers(3, 5),
@@ -495,6 +523,8 @@ def test_event_list_agrees_with_report_sums(name, sequence_ties, ballot):
 )
 @example(kappa=4, seed=1, truncated=True, sequence_ties=True, pick=7)
 @example(kappa=5, seed=2, truncated=False, sequence_ties=True, pick=10**6)
+@example(kappa=2, seed=3, truncated=False, sequence_ties=False, pick=2)  # no saves
+@example(kappa=6, seed=4, truncated=False, sequence_ties=True, pick=1000)  # largest table
 def test_event_probabilities_match_scalar_arithmetic(kappa, seed, truncated, sequence_ties, pick):
     def mask(dropped):
         return sum(1 << c for c in dropped)
