@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from .elections import BallotProfile
-from .experiment import ExperimentConfig, run_experiment, write_csv, write_gnuplot
+from .experiment import POWERLAW, UNIFORM, ExperimentConfig, run_experiment
+from .experiment import write_csv, write_gnuplot
 from .oracle import OracleConfig, mc_pivot_estimate
 from .pivotal import sweep_reports, total_pivot_prob
-from .skellam import Tolerance
+from .skellam import DEFAULT_TOLERANCE, Tolerance
 from .smdp import smdp_reports
 
 _ENV_TAIL_EPS = "PIVOT_TAIL_EPS"
@@ -20,7 +22,7 @@ _ENV_TAIL_EPS = "PIVOT_TAIL_EPS"
 def _tolerance(args) -> Tolerance:
     eps = args.tail_eps
     if eps is None:
-        eps = float(os.environ.get(_ENV_TAIL_EPS, 1e-12))
+        eps = float(os.environ.get(_ENV_TAIL_EPS, DEFAULT_TOLERANCE.tail_eps))
     return Tolerance(tail_eps=eps)
 
 
@@ -76,15 +78,7 @@ def _cmd_oracle(args) -> None:
     profile = BallotProfile.load(args.profile)
     cfg = OracleConfig(draws=args.draws, seed=args.seed, tie_coin_seed=args.tie_coin_seed)
     est = mc_pivot_estimate(profile, _parse_ballot(args.ballot), cfg)
-    _emit(
-        {
-            "p_direct_hat": est.p_direct_hat,
-            "p_indirect_hat": est.p_indirect_hat,
-            "p_total_hat": est.p_total_hat,
-            "stderr_total": est.stderr_total,
-            "draws_used": est.draws_used,
-        }
-    )
+    _emit(dataclasses.asdict(est))
 
 
 def _cmd_experiment(args) -> None:
@@ -148,7 +142,7 @@ def main(argv: list[str] | None = None) -> None:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("experiment", help="batch IRV vs plurality comparison")
-    p.add_argument("--dist", choices=["uniform", "powerlaw"], default="powerlaw")
+    p.add_argument("--dist", choices=[UNIFORM, POWERLAW], default=POWERLAW)
     p.add_argument("--kappas", default="3,4,5", help="comma-separated candidate counts")
     p.add_argument("--voters", type=float, default=1000.0)
     p.add_argument("--runs", type=int, default=100)
@@ -165,7 +159,8 @@ def main(argv: list[str] | None = None) -> None:
 
     for p in sub.choices.values():
         p.add_argument("--tail-eps", type=float, default=None,
-                       help=f"series truncation bound (default {_ENV_TAIL_EPS} or 1e-12)")
+                       help=f"series truncation bound (default {_ENV_TAIL_EPS} or "
+                            f"{DEFAULT_TOLERANCE.tail_eps})")
 
     args = parser.parse_args(argv)
     try:

@@ -13,6 +13,11 @@ set that both the pivot engine and the Monte-Carlo oracle count with.
 Called without a candidate, :func:`expected_total` sums it into every
 expected total at once, the table the engine reads; called with one, it
 applies the rule one ranking at a time, the reference for that table.
+
+The input rules live here too, one check per kind of input, and every
+module calls them: :func:`_integral` for any integer, :func:`_check_candidate`
+for a candidate id, :func:`_check_order` for an order of all candidates and
+:func:`_check_limits` for kappa and the ballot length.
 """
 
 from __future__ import annotations
@@ -61,6 +66,25 @@ def _as_ranking(seq: Iterable[int]) -> Ranking:
     return tuple(_integral(c, "candidate id") for c in seq)
 
 
+def _check_candidate(candidate, kappa: int, what: str = "candidate") -> int:
+    """``candidate`` as an id in ``0..kappa-1``; a ``ValueError`` names a
+    non-integral or out-of-range value."""
+    candidate = _integral(candidate, f"{what} id")
+    if not 0 <= candidate < kappa:
+        raise ValueError(f"{what} {candidate} out of range for kappa={kappa}")
+    return candidate
+
+
+def _check_order(order: Iterable[int], kappa: int, what: str = "order") -> Ranking:
+    """``order`` as a ranking of every one of the ``kappa`` candidates."""
+    order = _as_ranking(order)
+    if sorted(order) != list(range(kappa)):
+        raise ValueError(
+            f"{what} {order!r} must rank each of the {kappa} candidates exactly once"
+        )
+    return order
+
+
 def _validate_ranking(ranking: Ranking, kappa: int, max_length: int) -> None:
     if not 1 <= len(ranking) <= max_length:
         raise ValueError(
@@ -69,8 +93,7 @@ def _validate_ranking(ranking: Ranking, kappa: int, max_length: int) -> None:
     if len(set(ranking)) != len(ranking):
         raise ValueError(f"ranking {ranking!r} repeats a candidate")
     for c in ranking:
-        if not 0 <= c < kappa:
-            raise ValueError(f"candidate {c} out of range for kappa={kappa}")
+        _check_candidate(c, kappa)
 
 
 def _check_limits(kappa: int, max_length: int | None) -> tuple[int, int]:
@@ -215,13 +238,9 @@ class BallotProfile:
     def total_expected(self) -> float:
         return math.fsum(self.rates.values())
 
-    def candidates(self) -> range:
-        return range(self.kappa)
-
     def relabeled(self, perm: Sequence[int]) -> "BallotProfile":
         """Profile with candidate ids mapped through ``perm``."""
-        if sorted(perm) != list(range(self.kappa)):
-            raise ValueError("perm must be a permutation of candidate ids")
+        perm = _check_order(perm, self.kappa, "perm")
         rates = {tuple(perm[c] for c in r): v for r, v in self.rates.items()}
         return BallotProfile(self.kappa, rates, self.max_length)
 
@@ -328,15 +347,12 @@ def expected_total(
         return np.array(
             [[math.fsum(rates[row == c].tolist()) for c in range(kappa)] for row in recip]
         )
-    candidate = _integral(candidate, "candidate id")
-    if not 0 <= candidate < profile.kappa:
-        raise ValueError(f"candidate {candidate} out of range")
-    dropped_set = frozenset(_integral(c, "dropped candidate id") for c in dropped)
+    candidate = _check_candidate(candidate, profile.kappa)
+    dropped_set = frozenset(
+        _check_candidate(c, profile.kappa, "dropped candidate") for c in dropped
+    )
     if candidate in dropped_set:
         raise ValueError(f"candidate {candidate} is in the dropped sequence")
-    for c in dropped_set:
-        if not 0 <= c < profile.kappa:
-            raise ValueError(f"dropped candidate {c} out of range")
     return math.fsum(
         rate
         for ranking, rate in profile.rates.items()
@@ -397,11 +413,8 @@ def tabulate(
     if realized.total_ballots == 0:
         raise ValueError("cannot tabulate an election with no ballots")
     kappa = realized.kappa
-    if tie_break is None:
-        tie_break = range(kappa)
+    tie_break = range(kappa) if tie_break is None else _check_order(tie_break, kappa, "tie_break")
     priority = {c: rank for rank, c in enumerate(tie_break)}
-    if sorted(priority) != list(range(kappa)):
-        raise ValueError("tie_break must order every candidate exactly once")
 
     if rule == SMDP:
         totals = _realized_totals(realized.counts, set(range(kappa)))

@@ -18,8 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .elections import BallotProfile, admissible_rankings
-from .pivotal import sweep_reports
+from .elections import IRV, SMDP, BallotProfile, _check_limits, _integral, admissible_rankings
+from .pivotal import _check_reach, sweep_reports
 from .skellam import DEFAULT_TOLERANCE, Tolerance
 from .smdp import smdp_pivot_prob
 
@@ -66,7 +66,7 @@ def gen_powerlaw_profile(
     if n_voters <= 0:
         raise ValueError(f"n_voters must be positive, got {n_voters}")
     rankings = admissible_rankings(kappa, max_length, full_length_only)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integral(seed, "seed"))
     focal = rankings[int(rng.integers(len(rankings)))]
     spread = 0.5 * n_voters / len(rankings)
     rates = {r: spread for r in rankings}
@@ -86,15 +86,18 @@ class ExperimentConfig:
     max_length: int | None = None
 
     def __post_init__(self):
+        kappas = tuple(_check_limits(k, None)[0] for k in self.kappas)
+        for kappa in kappas:
+            _check_reach(kappa)
+        object.__setattr__(self, "kappas", kappas)
+        object.__setattr__(self, "runs", _integral(self.runs, "runs"))
+        object.__setattr__(self, "base_seed", _integral(self.base_seed, "base_seed"))
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.n_voters <= 0:
             raise ValueError(f"n_voters must be positive, got {self.n_voters}")
-        if any(k < 2 for k in self.kappas):
-            raise ValueError("every kappa must be >= 2")
         if self.distribution not in (UNIFORM, POWERLAW):
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        object.__setattr__(self, "kappas", tuple(int(k) for k in self.kappas))
 
 
 @dataclass(frozen=True)
@@ -162,10 +165,10 @@ def run_experiment(
                 elapsed = time.perf_counter() - start
                 memo[key] = (irv_total, smdp_total, elapsed)
             results.append(
-                RunResult(run_id, kappa, "IRV", cfg.distribution, irv_total, elapsed)
+                RunResult(run_id, kappa, IRV, cfg.distribution, irv_total, elapsed)
             )
             results.append(
-                RunResult(run_id, kappa, "SMDP", cfg.distribution, smdp_total, elapsed)
+                RunResult(run_id, kappa, SMDP, cfg.distribution, smdp_total, elapsed)
             )
     results.sort(key=lambda r: (r.run_id, r.kappa, r.system))
     return results

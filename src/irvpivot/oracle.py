@@ -31,6 +31,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .elections import BallotProfile, Ranking, _check_ballot, _recipients, _utility_vector
+from .elections import _integral
 
 __all__ = [
     "OracleConfig",
@@ -59,6 +60,10 @@ class OracleConfig:
     tie_coin_seed: int | None = None
 
     def __post_init__(self):
+        for name in ("draws", "seed", "tie_coin_seed"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _integral(value, name))
         if self.draws < 1:
             raise ValueError(f"draws must be >= 1, got {self.draws}")
 
@@ -203,9 +208,23 @@ def mc_expected_utility(
     utilities: Sequence[float] | Mapping[int, float],
     cfg: OracleConfig,
 ) -> float:
-    """Average winner-utility change from adding the ballot, per draw."""
-    u = np.array(_utility_vector(profile.kappa, utilities))
-    gain = 0.0
+    """Average winner-utility change from adding the ballot, per draw.
+
+    Draws are counted per (old winner, new winner) pair.  Each swing
+    ``u[new] - u[old]`` is ``num / den`` with ``den`` a power of two, so
+    scaled to the largest ``den`` the counts times the swings sum to an
+    exact integer.  One division by the scale and the draw count rounds it,
+    and no partial sum overflows however close the utilities sit to the
+    float limit.
+    """
+    kappa = profile.kappa
+    u = _utility_vector(kappa, utilities)
+    pairs = np.zeros(kappa * kappa, dtype=np.int64)
     for ((w0, w1, _),) in _pivot_blocks(profile, [_check_ballot(profile, ballot)], cfg):
-        gain += float(np.sum(u[w1] - u[w0]))
-    return gain / cfg.draws
+        pairs += np.bincount(w0 * kappa + w1, minlength=kappa * kappa)
+    swings = [
+        (n, *(u[new] - u[old]).as_integer_ratio())
+        for (old, new), n in zip(np.ndindex(kappa, kappa), pairs.tolist())
+    ]
+    scale = max(den for _, _, den in swings)
+    return sum(n * num * (scale // den) for n, num, den in swings) / (scale * cfg.draws)

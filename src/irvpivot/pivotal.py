@@ -14,23 +14,17 @@ fair-coin tie term at the round where the single added vote matters.  All
 probabilities come from the Skellam kernel and the expected vote totals of
 the ballot profile; pairwise comparisons within and across rounds are
 multiplied as if independent.  An event's score does not depend on the
-ballot, only which events a ballot position can decide does, and that
-depends only on the candidate there and the set ranked above it.
-
-A per-kappa event table, built once, lists the elimination orders and,
-per candidate, every event a vote for it can decide, with the dropped set
-each one needs.  A key selects its events from it by that set.  Events
-share their arithmetic through orders: each event multiplies per-order
-folds of the survival products (an order's rounds but the last, all its
-rounds, or its rounds after a save) and one tie term, which
-:class:`PivotCalculator` computes the first time an event needs them, in
-the scalar path's order of operations, so every event keeps its bits.
+ballot, only which events a ballot position can decide does, so events are
+listed once per kappa (:class:`_EventTable`) and scored once per profile
+(:class:`PivotCalculator`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, NamedTuple, Sequence
@@ -40,8 +34,11 @@ import numpy as np
 from .elections import (
     BallotProfile,
     Ranking,
-    _as_ranking,
     _check_ballot,
+    _check_candidate,
+    _check_limits,
+    _check_order,
+    _integral,
     _utility_vector,
     admissible_rankings,
     expected_total,
@@ -61,6 +58,19 @@ __all__ = [
     "best_ballot",
     "sweep_reports",
 ]
+
+# Largest kappa the event table is built for: it holds 322,560 events at
+# kappa=6 (0.5 s to build) and would hold some 17 million at kappa=7.
+# ROADMAP item 4 replaces the table with a DP that reaches further.
+MAX_KAPPA = 6
+
+
+def _check_reach(kappa: int) -> None:
+    if kappa > MAX_KAPPA:
+        raise ValueError(
+            f"pivot events are enumerated for at most {MAX_KAPPA} candidates, got "
+            f"kappa={kappa}; larger elections await the subset DP of ROADMAP item 4"
+        )
 
 
 @dataclass(frozen=True)
@@ -128,32 +138,16 @@ class PivotReport:
 
 
 def _event_dict(event) -> dict:
-    if isinstance(event, DirectEvent):
-        return {
-            "kind": "direct",
-            "position": event.position,
-            "candidate": event.candidate,
-            "drops": list(event.drops),
-            "runner_up": event.runner_up,
-            "probability": event.probability,
-            "utility_swing": event.utility_swing,
-        }
-    return {
-        "kind": "indirect",
-        "position": event.position,
-        "candidate": event.candidate,
-        "base": list(event.base),
-        "round_index": event.round_index,
-        "alternate": list(event.alternate),
-        "displaced": event.displaced,
-        "suffix": list(event.suffix),
-        "probability": event.probability,
-        "utility_swing": event.utility_swing,
-    }
+    """The event's kind, then its fields, tuples as lists."""
+    kind = "direct" if isinstance(event, DirectEvent) else "indirect"
+    fields = dataclasses.asdict(event)
+    return {"kind": kind, **{k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}}
 
 
 def drop_lists(kappa: int, candidate: int):
     """All orders in which the other kappa-1 candidates could be dropped."""
+    kappa, _ = _check_limits(kappa, None)
+    candidate = _check_candidate(candidate, kappa)
     others = [c for c in range(kappa) if c != candidate]
     return permutations(others)
 
@@ -175,10 +169,9 @@ def enumerate_alternates(
         ``suffix`` is the part of the alternate after the displaced
         candidate.
     """
-    base = _as_ranking(base)
+    base = _check_order(base, len(base), "base sequence")
+    round_index = _integral(round_index, "round_index")
     kappa = len(base)
-    if len(set(base)) != kappa:
-        raise ValueError(f"base sequence {base!r} repeats a candidate")
     if kappa == 2:
         # Two candidates leave no room for a reordering with a new winner.
         return []
@@ -216,20 +209,24 @@ class _EventTable(NamedTuple):
     events follow, one per alternate of :func:`enumerate_alternates` that
     saves ``c``, in base order and then in the order of the alternates.  A
     vote decides an event once every candidate ranked above ``c`` is in
-    ``dropped``.
+    ``dropped``, so a ``(candidate, set ranked above)`` key selects its
+    events by that mask.
 
-    A calculator keeps one value per slot.  Slot ``o * kappa`` holds
-    :meth:`PivotCalculator._round_product` of order ``o`` over rounds
-    ``1..kappa-2``, its ``head``, and slot ``o * kappa + r`` for ``r >= 1``
-    its product over rounds ``r+1..kappa-1``, the rounds after a save in
-    round ``r`` (1.0 for ``r = kappa - 1``).  One slot per ``(dropped,
-    opponent, candidate)`` follows, holding ``brk + mk``.  Per event,
-    ``slots[c]`` holds a column of four slots, ``head, final, tail, tie``, and the
-    event's probability is ``head * final * tail * 0.5 * tie``.  For an
-    indirect event they are the base's head and final round (``head *
-    final`` is bit for bit the base's product over all its rounds), the
-    alternate's rounds after the save and the save's tie term; for a direct
-    event, the alternate's head, 1.0, 1.0 and the final-round tie term.
+    Events share their arithmetic through orders.  A calculator keeps one
+    value per slot, each computed the first time an event reads it.  Slot
+    ``o * kappa`` holds :meth:`PivotCalculator._round_product` of order
+    ``o`` over rounds ``1..kappa-2``, its ``head``, and slot ``o * kappa +
+    r`` for ``r >= 1`` its product over rounds ``r+1..kappa-1``, the rounds
+    after a save in round ``r`` (1.0 for ``r = kappa - 1``).  One slot per
+    ``(dropped, opponent, candidate)`` follows, holding ``brk + mk``.  Per
+    event, ``slots[c]`` holds a column of four slots, ``head, final, tail,
+    tie``, and the event's probability is ``head * final * tail * 0.5 *
+    tie``, multiplied in that order.  For an indirect event they are the
+    base's head and final round (``head * final`` is bit for bit the base's
+    product over all its rounds), the alternate's rounds after the save and
+    the save's tie term; for a direct event, the alternate's head, 1.0, 1.0
+    and the final-round tie term.  Each product is thus the scalar path's,
+    and every event keeps its bits.
     """
 
     orders: list[tuple[int, ...]]
@@ -240,6 +237,7 @@ class _EventTable(NamedTuple):
 
 @functools.cache
 def _event_table(kappa: int) -> _EventTable:
+    _check_reach(kappa)
     orders = list(permutations(range(kappa)))
     rows = np.array(orders, dtype=np.int32).reshape(-1, kappa)
     masks = np.zeros_like(rows)
@@ -299,36 +297,24 @@ class _KeyProbs(NamedTuple):
 
 
 class PivotCalculator:
-    """Scores a profile's pivotal events as arrays and sums them per ballot.
+    """Scores a profile's pivotal events and sums them per ballot.
 
     An event's probability depends only on the profile; the ballot only
     decides which events count, through the ``(candidate, set ranked
-    above)`` key of each position.  A key's events are the rows of the
-    per-kappa event table (:func:`_event_table`) that the candidate's vote
-    decides once every candidate ranked above it has dropped: its direct
-    events, won against a runner-up not ranked above it, and its indirect
-    ones, which save it earlier.  A direct event scores ``head * 0.5 * (brk
-    + mk)`` and an indirect one ``full * tail * 0.5 * (brk + mk)``, each
-    product in this order.  ``head``, ``full`` and ``tail`` are per-order
-    left folds of :meth:`_round_product` (an order's rounds but the last,
-    all its rounds, and an alternate's rounds after the save; ``full`` as
-    ``head`` times the final round), so every event gets the same IEEE
-    product as the scalar path.
-
-    Each distinct piece of arithmetic is done once per calculator.  The
-    expected totals after every set of drops are built up front as one
-    table, ``T[dropped mask][candidate]`` (:func:`elections.expected_total`),
-    from which :meth:`beats` and :meth:`tie_pair` read both rates.  The
-    kernel is a function of two Poisson rates only, so :meth:`beats` and
-    :meth:`tie_pair` cache it on the rate values: in symmetric profiles
-    most comparisons share a pair.  Folds and tie terms are computed the
-    first time an event needs them, so a report evaluates only what its
-    ballot can reach.  Per key, the probability arrays are kept with their
-    exact partials (:func:`_partials`), a few floats with the arrays' exact
-    sum, and the utility gains' partials are kept per utility vector.  A
-    report sums its keys' partials with ``math.fsum``, which gives the
-    correctly rounded sum of all its events, independent of enumeration
-    order, and builds event objects only when asked for them.
+    above)`` key of each position.  So each distinct piece of arithmetic is
+    done once per calculator.  The expected totals after every set of drops
+    are built up front as one table, ``T[dropped mask][candidate]``
+    (:func:`elections.expected_total`).  The kernel is a function of two
+    Poisson rates only, so :meth:`beats` and :meth:`tie_pair` cache it on
+    the rate values: in symmetric profiles most comparisons share a pair.
+    The per-order folds and tie terms of :class:`_EventTable` are computed
+    the first time an event needs them, so a report evaluates only what its
+    ballot can reach, and the scalar path (:meth:`sequence_prob`) allocates
+    none of them.  Per key, the event probabilities are kept with their
+    exact partials (:func:`_partials`), and the utility gains' partials per
+    utility vector.  A report sums its keys' partials with ``math.fsum``,
+    which gives the correctly rounded sum of all its events, independent of
+    enumeration order, and builds event objects only when asked for them.
 
     Args:
         profile: Expected ballot counts.
@@ -353,11 +339,14 @@ class PivotCalculator:
         # Kernel results keyed on the two rates they are evaluated at.
         self._beats: dict[tuple[float, float], float] = {}
         self._ties: dict[tuple[float, float], tuple[float, float]] = {}
-        # The slots of _EventTable; NaN marks a value not computed yet.
-        k = profile.kappa
-        self._values = np.full(k * math.factorial(k) + (k * k << k), np.nan)
         self._probs: dict[tuple[int, int], _KeyProbs] = {}
         self._gains: dict[tuple[int, int, tuple[float, ...]], list[float]] = {}
+
+    @functools.cached_property
+    def _values(self) -> np.ndarray:
+        """The slots of :class:`_EventTable`; NaN marks a value not computed yet."""
+        k = self.profile.kappa
+        return np.full(k * math.factorial(k) + (k * k << k), np.nan)
 
     # -- cached primitives -------------------------------------------------
 
@@ -524,11 +513,7 @@ def drop_sequence_prob(
     still standing, at that round's expected totals; the per-round
     comparisons are multiplied together.
     """
-    order = _as_ranking(order)
-    if sorted(order) != list(range(profile.kappa)):
-        raise ValueError(
-            f"order must be a permutation of all {profile.kappa} candidates"
-        )
+    order = _check_order(order, profile.kappa)
     return PivotCalculator(profile, tol).sequence_prob(order, full=True)
 
 
@@ -562,17 +547,14 @@ def best_ballot(
     """Admissible ballot with the greatest expected utility.
 
     Exact utility ties go to the lexicographically smallest candidate-id
-    sequence, shorter ballots before longer ones.
+    sequence, shorter ballots before longer ones: the first maximum of
+    :func:`sweep_reports`.
     """
-    calc = PivotCalculator(profile, tol)
-    best: tuple[Ranking, PivotReport] | None = None
-    for ballot in admissible_rankings(
-        profile.kappa, profile.max_length, full_length_only
-    ):
-        rep = calc.report(ballot, utilities)
-        if best is None or rep.expected_utility > best[1].expected_utility:
-            best = (ballot, rep)
-    return best
+    best = max(
+        sweep_reports(profile, utilities, full_length_only, tol),
+        key=operator.attrgetter("expected_utility"),
+    )
+    return best.ballot, best
 
 
 def sweep_reports(

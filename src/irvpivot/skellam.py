@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln
 
+from .elections import _integral
+
 __all__ = [
     "Tolerance",
     "DEFAULT_TOLERANCE",
@@ -119,7 +121,7 @@ def skellam_pmf(w: int, lam1: float, lam2: float, tol: Tolerance = DEFAULT_TOLER
     """
     lam1 = _check_rate(lam1, "lam1")
     lam2 = _check_rate(lam2, "lam2")
-    return float(_skellam_pmf_many(np.array([int(w)]), lam1, lam2)[0])
+    return float(_skellam_pmf_many(np.array([_integral(w, "w")]), lam1, lam2)[0])
 
 
 def prob_strictly_greater(

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from .elections import BallotProfile
+from .elections import BallotProfile, _check_candidate
+from .pivotal import PivotReport
 from .skellam import DEFAULT_TOLERANCE, Tolerance, prob_strictly_greater, tie_terms
 from .skellam import _pois_logpmf, _window
 
@@ -32,13 +33,8 @@ class SmdpReport:
     p_pivotal: float
 
     def to_dict(self) -> dict:
-        return {
-            "ballot": [self.candidate],
-            "p_direct": self.p_pivotal,
-            "p_indirect": 0.0,
-            "p_total": self.p_pivotal,
-            "expected_utility": None,
-        }
+        """The report JSON of :class:`PivotReport`, all of it direct."""
+        return PivotReport((self.candidate,), self.p_pivotal, 0.0, self.p_pivotal).to_dict()
 
 
 def first_choice_rates(profile: BallotProfile) -> list[float]:
@@ -69,8 +65,7 @@ def smdp_pivot_prob(
     Returns:
         Probability in [0, 1].
     """
-    if not 0 <= candidate < profile.kappa:
-        raise ValueError(f"candidate {candidate} out of range")
+    candidate = _check_candidate(candidate, profile.kappa)
     lams = first_choice_rates(profile)
     lam_c = lams[candidate]
     others = [j for j in range(profile.kappa) if j != candidate]

@@ -171,3 +171,11 @@ def test_string_rate_message(tmp_path):
     res = run_cli("compute", "--profile", str(path), "--ballot", "0")
     assert res.returncode == 1
     assert res.stderr.strip() == "pivot: malformed profile: 'rate' must be a number, got '1.5'"
+
+
+def test_experiment_refuses_kappa_beyond_the_engine(tmp_path):
+    out = tmp_path / "r.csv"
+    res = run_cli("experiment", "--kappas", "3,7", "--runs", "1", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.startswith("pivot: pivot events are enumerated for at most 6")
+    assert "kappa=7" in res.stderr and not out.exists()

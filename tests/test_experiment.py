@@ -58,6 +58,12 @@ def test_config_validation():
         ExperimentConfig(distribution="zipf")
 
 
+def test_config_refuses_kappa_beyond_the_engine():
+    # Checked up front, so a batch does not spend time on kappa=3 first.
+    with pytest.raises(ValueError, match="kappa=7"):
+        ExperimentConfig(kappas=(3, 7))
+
+
 def test_run_experiment_rows_and_pairing():
     cfg = ExperimentConfig(
         kappas=(2, 3), n_voters=60.0, runs=3, distribution="uniform", base_seed=5

@@ -27,3 +27,10 @@ def test_package_exports_come_from_module_exports():
             if name in getattr(m, "__all__", ()) and getattr(m, name) is getattr(irvpivot, name)
         ]
         assert owners, f"{name!r} is in no submodule's __all__"
+
+
+def test_package_exports_are_the_module_exports():
+    modules = [m for m in MODULES if hasattr(m, "__all__")]
+    expected = sorted(name for m in modules for name in m.__all__) + ["__version__"]
+    assert sorted(irvpivot.__all__) == sorted(expected)
+    assert len(set(irvpivot.__all__)) == len(irvpivot.__all__), "duplicate export"

@@ -1,6 +1,7 @@
 """Monte-Carlo oracle: determinism, coupling, and convergence checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from irvpivot import (
     mc_pivot_estimate,
     mc_pivot_estimates,
     admissible_rankings,
+    gen_uniform_profile,
     tabulate,
     total_pivot_prob,
 )
@@ -173,6 +175,21 @@ def test_expected_utility_rejects_bad_utilities(utilities):
     prof = dirichlet_profile(3, 30.0, seed=6)
     with pytest.raises(ValueError):
         mc_expected_utility(prof, (0,), utilities, OracleConfig(draws=10))
+
+
+def test_expected_utility_near_the_float_limit():
+    # A float sum of these swings overflows to inf; the analytic value is
+    # 6.76e306.
+    prof = gen_uniform_profile(3, 6.0)
+    cfg = OracleConfig(draws=2000, seed=1)
+    u = (1e308, -7e307, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = mc_expected_utility(prof, (0,), u, cfg)
+        small = mc_expected_utility(prof, (0,), [v * 2.0**-1000 for v in u], cfg)
+    assert math.isfinite(big) and big > 0.0
+    # The sum is exact and rounded once, so a power-of-two scale commutes.
+    assert big == small * 2.0**1000
 
 
 @pytest.mark.parametrize("kappa", [2, 3, 4, 5])

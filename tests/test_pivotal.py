@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -80,6 +81,32 @@ def test_drop_sequence_prob_rejects_partial_orders():
         drop_sequence_prob(prof, [0, 1, 1])
     with pytest.raises(ValueError, match="1.5"):
         drop_sequence_prob(prof, [0, 1.5, 2])
+
+
+def test_scalar_path_allocates_no_report_state():
+    # The calculator's report slots (kappa * kappa! + kappa**2 * 2**kappa
+    # floats, 26 MB at kappa=9) are allocated by the first report only.
+    order = tuple(range(9))
+    prof = BallotProfile(9, {order: 50.0, order[::-1]: 45.0, (4, 0): 30.0})
+    tracemalloc.start()
+    try:
+        drop_sequence_prob(prof, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_event_table_refuses_kappa_beyond_its_reach():
+    built = pivotal._event_table.cache_info().currsize
+    with pytest.raises(ValueError, match=f"at most {pivotal.MAX_KAPPA} .*ROADMAP item 4"):
+        pivotal._event_table(pivotal.MAX_KAPPA + 1)
+    prof = BallotProfile(8, {(0, 1): 10.0, (7,): 9.0}, max_length=2)
+    with pytest.raises(ValueError, match="kappa=8"):
+        sweep_reports(prof)
+    with pytest.raises(ValueError, match="kappa=8"):
+        total_pivot_prob(prof, (0,))
+    assert pivotal._event_table.cache_info().currsize == built
 
 
 # -- direct pivotality -------------------------------------------------------
