@@ -9,18 +9,14 @@ electorates, and a batch harness comparing the two systems.
 The public names are each submodule's ``__all__``, re-exported here.
 """
 
-from . import elections, experiment, oracle, pivotal, skellam, smdp
-from .elections import *  # noqa: F401,F403
-from .experiment import *  # noqa: F401,F403
-from .oracle import *  # noqa: F401,F403
-from .pivotal import *  # noqa: F401,F403
-from .skellam import *  # noqa: F401,F403
-from .smdp import *  # noqa: F401,F403
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+__all__ = []
 
-__all__ = [
-    name
-    for module in (elections, skellam, pivotal, smdp, oracle, experiment)
-    for name in module.__all__
-] + ["__version__"]
+for _name in ("elections", "skellam", "pivotal", "smdp", "oracle", "experiment"):
+    _module = _import_module(f".{_name}", __name__)
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+    __all__ += _module.__all__
+__all__.append("__version__")
+del _import_module, _name, _module

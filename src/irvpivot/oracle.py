@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -210,21 +211,14 @@ def mc_expected_utility(
 ) -> float:
     """Average winner-utility change from adding the ballot, per draw.
 
-    Draws are counted per (old winner, new winner) pair.  Each swing
-    ``u[new] - u[old]`` is ``num / den`` with ``den`` a power of two, so
-    scaled to the largest ``den`` the counts times the swings sum to an
-    exact integer.  One division by the scale and the draw count rounds it,
-    and no partial sum overflows however close the utilities sit to the
-    float limit.
+    The count-weighted swings are summed exactly and rounded once.
     """
     kappa = profile.kappa
     u = _utility_vector(kappa, utilities)
     pairs = np.zeros(kappa * kappa, dtype=np.int64)
     for ((w0, w1, _),) in _pivot_blocks(profile, [_check_ballot(profile, ballot)], cfg):
         pairs += np.bincount(w0 * kappa + w1, minlength=kappa * kappa)
-    swings = [
-        (n, *(u[new] - u[old]).as_integer_ratio())
+    return float(sum(
+        n * Fraction(u[new] - u[old])
         for (old, new), n in zip(np.ndindex(kappa, kappa), pairs.tolist())
-    ]
-    scale = max(den for _, _, den in swings)
-    return sum(n * num * (scale // den) for n, num, den in swings) / (scale * cfg.draws)
+    ) / cfg.draws)

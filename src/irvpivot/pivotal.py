@@ -21,7 +21,6 @@ listed once per kappa (:class:`_EventTable`) and scored once per profile
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import operator
@@ -34,6 +33,7 @@ import numpy as np
 from .elections import (
     BallotProfile,
     Ranking,
+    _as_ranking,
     _check_ballot,
     _check_candidate,
     _check_limits,
@@ -59,10 +59,11 @@ __all__ = [
     "sweep_reports",
 ]
 
-# Largest kappa the event table is built for: it holds 322,560 events at
-# kappa=6 (0.5 s to build) and would hold some 17 million at kappa=7.
-# ROADMAP item 4 replaces the table with a DP that reaches further.
-MAX_KAPPA = 6
+# Largest kappa the event table is built for: at kappa=7 it holds 17,377,920
+# events and took 31-44 s and 1.2 GB peak RSS to build on one 2-core x86 host;
+# kappa=8 would hold about a billion.  ROADMAP item 4 replaces the table with
+# a DP that reaches further.
+MAX_KAPPA = 7
 
 
 def _check_reach(kappa: int) -> None:
@@ -140,8 +141,8 @@ class PivotReport:
 def _event_dict(event) -> dict:
     """The event's kind, then its fields, tuples as lists."""
     kind = "direct" if isinstance(event, DirectEvent) else "indirect"
-    fields = dataclasses.asdict(event)
-    return {"kind": kind, **{k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}}
+    fields = vars(event).items()
+    return {"kind": kind, **{k: list(v) if isinstance(v, tuple) else v for k, v in fields}}
 
 
 def drop_lists(kappa: int, candidate: int):
@@ -169,9 +170,11 @@ def enumerate_alternates(
         ``suffix`` is the part of the alternate after the displaced
         candidate.
     """
-    base = _check_order(base, len(base), "base sequence")
+    base = _as_ranking(base)
     round_index = _integral(round_index, "round_index")
     kappa = len(base)
+    if len(set(base)) != kappa:
+        raise ValueError(f"base sequence {base!r} repeats a candidate")
     if kappa == 2:
         # Two candidates leave no room for a reordering with a new winner.
         return []

@@ -175,7 +175,7 @@ def test_string_rate_message(tmp_path):
 
 def test_experiment_refuses_kappa_beyond_the_engine(tmp_path):
     out = tmp_path / "r.csv"
-    res = run_cli("experiment", "--kappas", "3,7", "--runs", "1", "--out", str(out))
+    res = run_cli("experiment", "--kappas", "3,8", "--runs", "1", "--out", str(out))
     assert res.returncode == 1
-    assert res.stderr.startswith("pivot: pivot events are enumerated for at most 6")
-    assert "kappa=7" in res.stderr and not out.exists()
+    assert res.stderr.startswith("pivot: pivot events are enumerated for at most 7")
+    assert "kappa=8" in res.stderr and not out.exists()

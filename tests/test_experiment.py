@@ -60,8 +60,8 @@ def test_config_validation():
 
 def test_config_refuses_kappa_beyond_the_engine():
     # Checked up front, so a batch does not spend time on kappa=3 first.
-    with pytest.raises(ValueError, match="kappa=7"):
-        ExperimentConfig(kappas=(3, 7))
+    with pytest.raises(ValueError, match="kappa=8"):
+        ExperimentConfig(kappas=(3, 8))
 
 
 def test_run_experiment_rows_and_pairing():

@@ -187,6 +187,13 @@ def test_enumerate_alternates_example():
     assert displaced == 1 and suffix == (0, 2)
 
 
+def test_enumerate_alternates_takes_any_ids():
+    # The base need not be an order of 0..n-1; only repeats are refused.
+    assert enumerate_alternates((9, 2, 5), 1) == [((5, 9, 2), 5, (9, 2))]
+    with pytest.raises(ValueError, match="repeats a candidate"):
+        enumerate_alternates((2, 5, 2), 1)
+
+
 def test_enumerate_alternates_matches_brute_force():
     for kappa in (3, 4):
         for base in permutations(range(kappa)):
