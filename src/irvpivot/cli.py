@@ -165,7 +165,8 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # An OSError's message names the path it could not open.
         raise SystemExit(f"pivot: {exc}") from None
 
 

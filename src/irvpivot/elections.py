@@ -17,7 +17,8 @@ applies the rule one ranking at a time, the reference for that table.
 The input rules live here too, one check per kind of input, and every
 module calls them: :func:`_integral` for any integer, :func:`_check_candidate`
 for a candidate id, :func:`_check_order` for an order of all candidates and
-:func:`_check_limits` for kappa and the ballot length.
+:func:`_check_limits` for kappa and the ballot length, and
+:func:`_check_voters` for an expected number of voters.
 """
 
 from __future__ import annotations
@@ -105,6 +106,13 @@ def _check_limits(kappa: int, max_length: int | None) -> tuple[int, int]:
     if not 1 <= max_length <= kappa:
         raise ValueError(f"max_length must be in 1..{kappa}, got {max_length}")
     return kappa, max_length
+
+
+def _check_voters(n_voters) -> None:
+    """A ``ValueError`` names ``n_voters`` unless it is finite and above 0
+    (``nan <= 0`` is false, so a bare sign test would let NaN through)."""
+    if not (math.isfinite(n_voters) and n_voters > 0):
+        raise ValueError(f"n_voters must be finite and positive, got {n_voters!r}")
 
 
 def _check_ballot(profile: "BallotProfile", ballot: Sequence[int]) -> Ranking:

@@ -18,7 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .elections import IRV, SMDP, BallotProfile, _check_limits, _integral, admissible_rankings
+from .elections import IRV, SMDP, BallotProfile, _check_limits, _check_voters, _integral
+from .elections import admissible_rankings
 from .pivotal import _check_reach, sweep_reports
 from .skellam import DEFAULT_TOLERANCE, Tolerance
 from .smdp import smdp_pivot_prob
@@ -44,8 +45,7 @@ def gen_uniform_profile(
     full_length_only: bool = True,
 ) -> BallotProfile:
     """Profile giving every admissible ranking the same expected count."""
-    if n_voters <= 0:
-        raise ValueError(f"n_voters must be positive, got {n_voters}")
+    _check_voters(n_voters)
     rankings = admissible_rankings(kappa, max_length, full_length_only)
     rate = n_voters / len(rankings)
     return BallotProfile(kappa, {r: rate for r in rankings}, max_length)
@@ -63,8 +63,7 @@ def gen_powerlaw_profile(
     The other half is spread evenly over all admissible rankings, the focal
     one included, so the total expected count is exactly ``n_voters``.
     """
-    if n_voters <= 0:
-        raise ValueError(f"n_voters must be positive, got {n_voters}")
+    _check_voters(n_voters)
     rankings = admissible_rankings(kappa, max_length, full_length_only)
     rng = np.random.default_rng(_integral(seed, "seed"))
     focal = rankings[int(rng.integers(len(rankings)))]
@@ -94,8 +93,7 @@ class ExperimentConfig:
         object.__setattr__(self, "base_seed", _integral(self.base_seed, "base_seed"))
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.n_voters <= 0:
-            raise ValueError(f"n_voters must be positive, got {self.n_voters}")
+        _check_voters(self.n_voters)
         if self.distribution not in (UNIFORM, POWERLAW):
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
@@ -119,7 +117,28 @@ def _profile_for_run(cfg: ExperimentConfig, run_id: int, kappa: int) -> BallotPr
 
 
 def _profile_key(profile: BallotProfile):
-    return (profile.kappa, profile.max_length, tuple(sorted(profile.rates.items())))
+    """A key that two profiles share only if one is a relabeling of the
+    other, and that relabelings share where the candidates can be told apart.
+
+    The key is the profile relabeled so that candidates are numbered in
+    ascending order of their expected counts at each ballot position (one
+    ``math.fsum`` per candidate and position, compared position by
+    position), ties kept in id order.  Every key is a relabeling of its
+    profile, so equal keys mean relabelings.  The sums move with the labels,
+    so relabelings of a profile whose candidates all have different sums get
+    the same key.
+    """
+    kappa = profile.kappa
+    counts = [[[] for _ in range(profile.max_length)] for _ in range(kappa)]
+    for ranking, rate in profile.rates.items():
+        for position, c in enumerate(ranking):
+            counts[c][position].append(rate)
+    sums = [tuple(math.fsum(r) for r in per_position) for per_position in counts]
+    label = [0] * kappa
+    for new, old in enumerate(sorted(range(kappa), key=sums.__getitem__)):
+        label[old] = new
+    rates = sorted((tuple(label[c] for c in r), v) for r, v in profile.rates.items())
+    return (kappa, profile.max_length, tuple(rates))
 
 
 def run_experiment(
@@ -130,10 +149,15 @@ def run_experiment(
 ) -> list[RunResult]:
     """Run every (run, kappa) contest under both systems.
 
-    Both systems see the identical profile within a pair.  Profiles that
-    repeat across runs (the flat distribution is the same every run, and
-    relabelings recur) are computed once and reused; the reused totals are
-    exactly the ones the first computation produced.
+    Both systems see the identical profile within a pair.  The IRV total is
+    computed once per relabeling class of the profiles of this call
+    (:func:`_profile_key`): the flat distribution gives the same profile
+    every run, and every full-length front-runner profile of one kappa is a
+    relabeling of every other.  Relabeling leaves each ballot's IRV
+    pivot probability bitwise unchanged, and ``math.fsum`` does not depend
+    on the order of its terms, so a reused total has the bits a fresh sweep
+    would give.  The plurality total is computed for every contest: its
+    last bit can change under relabeling.
 
     Args:
         cfg: Batch parameters.
@@ -144,26 +168,26 @@ def run_experiment(
             raises.
 
     Returns:
-        Results sorted by (run_id, kappa, system).
+        Results sorted by (run_id, kappa, system).  Both results of a
+        contest carry the seconds that contest took in this call, so a
+        contest that reused an IRV total reports less time than the one
+        that computed it.
     """
-    memo: dict = {}
+    irv_totals: dict = {}
     results = partial if partial is not None else []
     for run_id in range(cfg.runs):
         for kappa in cfg.kappas:
+            start = time.perf_counter()
             profile = _profile_for_run(cfg, run_id, kappa)
             key = _profile_key(profile)
-            if key in memo:
-                irv_total, smdp_total, elapsed = memo[key]
-            else:
-                start = time.perf_counter()
+            irv_total = irv_totals.get(key)
+            if irv_total is None:
                 reports = sweep_reports(profile, full_length_only=True, tol=tol)
-                irv_total = math.fsum(r.p_total for r in reports)
-                smdp_total = math.fsum(
-                    smdp_pivot_prob(profile, c, tol, pairwise_approx)
-                    for c in range(kappa)
-                )
-                elapsed = time.perf_counter() - start
-                memo[key] = (irv_total, smdp_total, elapsed)
+                irv_total = irv_totals[key] = math.fsum(r.p_total for r in reports)
+            smdp_total = math.fsum(
+                smdp_pivot_prob(profile, c, tol, pairwise_approx) for c in range(kappa)
+            )
+            elapsed = time.perf_counter() - start
             results.append(
                 RunResult(run_id, kappa, IRV, cfg.distribution, irv_total, elapsed)
             )
@@ -179,7 +203,8 @@ def write_csv(results: Iterable[RunResult], path, timing: bool = False) -> None:
 
     The ``seconds`` column is left empty unless ``timing`` is set: wall
     times vary between invocations, and the default output is meant to be
-    byte-identical for identical configurations.
+    byte-identical for identical configurations.  When set, it holds the
+    seconds each contest took in this call (see :func:`run_experiment`).
     """
     with open(path, "w", newline="") as fh:
         fh.write("run_id,kappa,system,distribution,total_pivot,seconds\n")

@@ -179,3 +179,41 @@ def test_experiment_refuses_kappa_beyond_the_engine(tmp_path):
     assert res.returncode == 1
     assert res.stderr.startswith("pivot: pivot events are enumerated for at most 7")
     assert "kappa=8" in res.stderr and not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("compute", ("--ballot", "0")),
+    ("sweep", ()),
+    ("smdp", ()),
+    ("oracle", ("--ballot", "0", "--draws", "10")),
+])
+def test_unreadable_profile_message(tmp_path, command, args):
+    path = tmp_path / "missing.json"
+    res = run_cli(command, "--profile", str(path), *args)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pivot: [Errno 2] No such file or directory")
+    assert str(path) in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dat"])
+def test_unwritable_output_message(tmp_path, flag):
+    bad = tmp_path / "no-such-dir" / "r.txt"
+    paths = {"--out": str(tmp_path / "r.csv"), "--dat": str(tmp_path / "r.dat")}
+    paths[flag] = str(bad)
+    res = run_cli(
+        "experiment", "--dist", "uniform", "--kappas", "2", "--voters", "30",
+        "--runs", "1", "--out", paths["--out"], "--dat", paths["--dat"],
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("pivot: [Errno 2] No such file or directory")
+    assert str(bad) in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("voters", ["nan", "inf", "0"])
+def test_experiment_refuses_a_voter_count_before_writing(tmp_path, voters):
+    out = tmp_path / "r.csv"
+    res = run_cli("experiment", "--voters", voters, "--runs", "1", "--out", str(out))
+    assert res.returncode == 1
+    value = repr(float(voters))
+    assert res.stderr.strip() == f"pivot: n_voters must be finite and positive, got {value}"
+    assert not out.exists()

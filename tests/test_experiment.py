@@ -3,16 +3,25 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from irvpivot import (
+    BallotProfile,
     ExperimentConfig,
+    admissible_rankings,
+    experiment,
     gen_powerlaw_profile,
     gen_uniform_profile,
     run_experiment,
+    smdp_pivot_prob,
+    sweep_reports,
     write_csv,
     write_gnuplot,
 )
+from irvpivot.experiment import _profile_key
+
+from conftest import dirichlet_profile
 
 
 def test_uniform_profile_shapes():
@@ -155,3 +164,66 @@ def test_csv_bytes_pinned(tmp_path):
     write_csv(rows, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "5b8afa93df34ff0aa72b5b6ed1b7d38815db8c99d4c15bdb92c07cbc800343ea"
+
+
+@pytest.mark.parametrize(
+    "cfg, pairwise",
+    [
+        (ExperimentConfig(kappas=(2, 3, 4, 5), n_voters=60.0, runs=6), False),
+        (ExperimentConfig(kappas=(3, 4), n_voters=1000.0, runs=4, base_seed=7), False),
+        (ExperimentConfig(kappas=(3, 4), n_voters=60.0, runs=6, max_length=2), False),
+        (ExperimentConfig(kappas=(2, 3, 4), n_voters=60.0, runs=2, distribution="uniform"), False),
+        (ExperimentConfig(kappas=(2, 3, 4), n_voters=60.0, runs=4, base_seed=3), True),
+    ],
+)
+def test_rows_equal_fresh_contests(cfg, pairwise):
+    # Reused IRV totals must have the bits of a fresh sweep of the contest's
+    # own profile; the kappa=4, n=60 runs include relabelings whose SMDP
+    # totals differ in the last bit.
+    rows = run_experiment(cfg, pairwise_approx=pairwise)
+    assert len(rows) == 2 * cfg.runs * len(cfg.kappas)
+    for r in rows:
+        if cfg.distribution == "uniform":
+            prof = gen_uniform_profile(r.kappa, cfg.n_voters, cfg.max_length)
+        else:
+            prof = gen_powerlaw_profile(
+                r.kappa, cfg.n_voters, cfg.base_seed + r.run_id, cfg.max_length
+            )
+        if r.system == "IRV":
+            reports = sweep_reports(prof, full_length_only=True)
+            fresh = math.fsum(rep.p_total for rep in reports)
+        else:
+            fresh = math.fsum(smdp_pivot_prob(prof, c, pairwise_approx=pairwise)
+                              for c in range(r.kappa))
+        assert r.total_pivot == fresh, (r.run_id, r.kappa, r.system)
+
+
+def test_full_length_powerlaw_sweeps_once_per_kappa(monkeypatch):
+    kappas = []
+
+    def counting(profile, *args, **kwargs):
+        kappas.append(profile.kappa)
+        return sweep_reports(profile, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "sweep_reports", counting)
+    cfg = ExperimentConfig(kappas=(2, 3, 4, 5), n_voters=60.0, runs=20, base_seed=4)
+    rows = run_experiment(cfg)
+    assert sorted(kappas) == [2, 3, 4, 5]
+    for kappa in cfg.kappas:
+        irv = {r.total_pivot for r in rows if r.system == "IRV" and r.kappa == kappa}
+        assert len(irv) == 1
+
+
+@pytest.mark.parametrize("kappa, max_length", [(3, None), (4, None), (5, None), (4, 2)])
+def test_profile_key_is_shared_by_relabelings(kappa, max_length):
+    rng = np.random.default_rng(kappa * 10 + (max_length or 0))
+    rankings = admissible_rankings(kappa, max_length)
+    prof = BallotProfile(
+        kappa, dict(zip(rankings, rng.dirichlet(np.ones(len(rankings))) * 100.0)), max_length
+    )
+    key = _profile_key(prof)
+    for _ in range(5):
+        assert _profile_key(prof.relabeled(rng.permutation(kappa).tolist())) == key
+    assert _profile_key(dirichlet_profile(kappa, 100.0, seed=1)) != _profile_key(
+        dirichlet_profile(kappa, 100.0, seed=2)
+    )

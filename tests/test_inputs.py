@@ -1,5 +1,6 @@
-"""The input rule at the package's edges: a non-integral number where an
-integer is due fails with a ``ValueError`` that names it."""
+"""The input rules at the package's edges: a non-integral number where an
+integer is due, or a voter count that is not finite and positive, fails
+with a ``ValueError`` that names it."""
 
 import pytest
 
@@ -67,3 +68,17 @@ def test_non_integral_input_names_the_value(entry):
     with pytest.raises(ValueError, match=r"\b1\.5\b"):
         ENTRY_POINTS[entry](1.5)
 
+
+
+VOTER_COUNTS = {
+    "gen_uniform_profile": lambda n: gen_uniform_profile(3, n),
+    "gen_powerlaw_profile": lambda n: gen_powerlaw_profile(3, n, seed=0),
+    "ExperimentConfig": lambda n: ExperimentConfig(n_voters=n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VOTER_COUNTS))
+@pytest.mark.parametrize("n", [float("nan"), float("inf"), -float("inf"), 0.0, -5.0])
+def test_voter_count_must_be_finite_and_positive(entry, n):
+    with pytest.raises(ValueError, match=f"finite and positive, got {n!r}$"):
+        VOTER_COUNTS[entry](n)

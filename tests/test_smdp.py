@@ -1,5 +1,6 @@
 """Plurality baseline: exact tie-level conditioning and its approximation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from irvpivot import (
     BallotProfile,
     first_choice_rates,
+    gen_powerlaw_profile,
+    gen_uniform_profile,
     skellam_pmf,
     smdp_pivot_prob,
     smdp_reports,
@@ -120,3 +123,22 @@ def test_rejects_bad_candidate():
     prof = rates_profile((5.0, 6.0))
     with pytest.raises(ValueError):
         smdp_pivot_prob(prof, 2)
+
+
+def test_reports_pinned_bits():
+    # Recorded from the loop that scored one candidate at a time.  The two
+    # power-law profiles are relabelings of each other whose totals differ
+    # in the last bit, so a result shared across a relabeling shows here.
+    pair = [gen_powerlaw_profile(4, 60.0, seed) for seed in (0, 1)]
+    totals = [math.fsum(r.p_pivotal for r in smdp_reports(p)) for p in pair]
+    assert totals[0] != totals[1]
+    profiles = [dirichlet_profile(k, 60.0, seed=k) for k in (2, 3, 4, 5)]
+    profiles += [gen_uniform_profile(3, 1000.0), gen_uniform_profile(5, 1000.0)]
+    profiles += [rates_profile((0.0, 4.0)), rates_profile((0.0, 5.0, 7.0))]
+    profiles += [rates_profile((0.0, 0.0, 3.0, 3.0))]
+    profiles += pair + [gen_powerlaw_profile(5, 1000.0, seed=2)]
+    dump = repr(
+        [smdp_reports(p, pairwise_approx=pw) for p in profiles for pw in (False, True)]
+    )
+    digest = hashlib.sha256(dump.encode()).hexdigest()
+    assert digest == "c4fdb7262ebb193b22f3fff6fe6657adf13aea25083bafc28e23be9f499c61c1"
