@@ -66,85 +66,53 @@ def smdp_pivot_prob(
         Probability in [0, 1].
     """
     candidate = _check_candidate(candidate, profile.kappa)
-    return _Plurality(profile, tol, pairwise_approx).pivot_prob(candidate)
+    lams = first_choice_rates(profile)
+    lam_c = lams[candidate]
+    others = [j for j in range(profile.kappa) if j != candidate]
 
-
-class _Plurality:
-    """The pivot probabilities of one profile's candidates.
-
-    A candidate's probability sums one term per opponent, and a term is a
-    function of three rate values: the candidate's, the opponent's and the
-    others' in ascending id order.  Terms and the arrays they are built
-    from are kept by those values, so opponents with equal rates share a
-    term, the candidates of :func:`smdp_reports` share pairs and bystanders,
-    and each shared value has the bits of the one computation that made it.
-    """
-
-    def __init__(self, profile: BallotProfile, tol: Tolerance, pairwise_approx: bool):
-        self.lams = first_choice_rates(profile)
-        self.tol = tol
-        self.pairwise = pairwise_approx or profile.kappa == 2
-        self._shared: dict[tuple, float | np.ndarray] = {}
-
-    def _value(self, make, kind: str, *args):
-        """``make(*args)``, computed once per ``(kind, *args)``."""
-        val = self._shared.get((kind, *args))
-        if val is None:
-            val = self._shared[kind, *args] = make(*args)
-        return val
-
-    def pivot_prob(self, candidate: int) -> float:
-        lams = self.lams
-        term = self._pairwise_term if self.pairwise else self._exact_term
+    if len(others) == 1 or pairwise_approx:
         total = 0.0
-        for j, lam_j in enumerate(lams):
-            if j != candidate:
-                rest = tuple(lam for k, lam in enumerate(lams) if k not in (candidate, j))
-                total += self._value(term, "term", lams[candidate], lam_j, rest)
+        for j in others:
+            if pairwise_approx and len(others) > 1:
+                # Everyone else must sit below the tie; proxy the unknown
+                # tie level by a Poisson count at the pair's mean rate.
+                level = 0.5 * (lam_c + lams[j])
+                below = 1.0
+                for k in others:
+                    if k != j:
+                        below *= prob_strictly_greater(level, lams[k], tol)
+            else:
+                below = 1.0
+            brk, mk = tie_terms(lam_c, lams[j], tol)
+            total += 0.5 * (brk + mk) * below
         return min(1.0, max(0.0, total))
 
-    def _pairwise_term(self, lam_c: float, lam_j: float, rest: tuple[float, ...]) -> float:
-        # Everyone else must sit below the tie; proxy the unknown tie level
-        # by a Poisson count at the pair's mean rate.
-        level = 0.5 * (lam_c + lam_j)
-        below = 1.0
-        for lam_k in rest:
-            below *= prob_strictly_greater(level, lam_k, self.tol)
-        brk, mk = tie_terms(lam_c, lam_j, self.tol)
-        return 0.5 * (brk + mk) * below
-
-    def _exact_term(self, lam_c: float, lam_j: float, rest: tuple[float, ...]) -> float:
-        # Exact tie-level conditioning: sum over the tied count m of
-        #   P(X_j = m) * [1/2 P(X_c = m) + 1/2 P(X_c = m - 1)] * prod_k P(X_k < m)
-        # The window depends on the pair alone, not on which one is c.
+    # Exact tie-level conditioning: sum over the tied count m of
+    #   P(X_j = m) * [1/2 P(X_c = m) + 1/2 P(X_c = m - 1)] * prod_k P(X_k < m)
+    total = 0.0
+    for j in others:
+        lam_j = lams[j]
         lo, hi = _window(min(lam_c, lam_j), max(lam_c, lam_j), max(lam_c, lam_j) + 1.0)
-        p_j = self._value(_poisson_pmf, "pmf", lo, hi, lam_j)
-        p_c_eq = self._value(_poisson_pmf, "pmf", lo, hi, lam_c)
-        p_c_behind = self._value(_poisson_pmf, "pmf", lo - 1, hi - 1, lam_c)
-        below = self._value(self._below, "below", lo, hi, rest)
-        return float(np.sum(p_j * 0.5 * (p_c_eq + p_c_behind) * below))
-
-    def _below(self, lo: int, hi: int, rest: tuple[float, ...]) -> np.ndarray:
-        """P(every count in ``rest`` < m) at each m in ``lo..hi``, multiplied
-        in the order of ``rest``."""
-        below = np.ones(hi - lo + 1)
-        for lam_k in rest:
-            below *= self._value(_poisson_cdf_below, "cdf", lo, hi, lam_k)
-        return below
+        ms = np.arange(lo, hi + 1, dtype=float)
+        p_j = np.exp(_pois_logpmf(ms, lam_j))
+        p_c_eq = np.exp(_pois_logpmf(ms, lam_c))
+        p_c_behind = np.exp(_pois_logpmf(ms - 1.0, lam_c))
+        below = np.ones_like(ms)
+        for k in others:
+            if k == j:
+                continue
+            below *= _poisson_cdf_below(ms, lams[k])
+        total += float(np.sum(p_j * 0.5 * (p_c_eq + p_c_behind) * below))
+    return min(1.0, max(0.0, total))
 
 
-def _poisson_pmf(lo: int, hi: int, lam: float) -> np.ndarray:
-    """P(Poisson(lam) = m) for each m in ``lo..hi``."""
-    return np.exp(_pois_logpmf(np.arange(lo, hi + 1, dtype=float), lam))
-
-
-def _poisson_cdf_below(lo: int, hi: int, lam: float) -> np.ndarray:
-    """P(Poisson(lam) < m) for each m in ``lo..hi``."""
-    ms = np.arange(lo, hi + 1, dtype=float)
+def _poisson_cdf_below(ms: np.ndarray, lam: float) -> np.ndarray:
+    """P(Poisson(lam) < m) for each m in the grid."""
     if lam == 0.0:
         return (ms >= 1).astype(float)
     # gammaincc(m, lam) = P(Poisson(lam) <= m - 1) for integer m >= 1.
-    return np.where(ms >= 1, gammaincc(np.maximum(ms, 1.0), lam), 0.0)
+    out = np.where(ms >= 1, gammaincc(np.maximum(ms, 1.0), lam), 0.0)
+    return out
 
 
 def smdp_reports(
@@ -152,7 +120,8 @@ def smdp_reports(
     tol: Tolerance = DEFAULT_TOLERANCE,
     pairwise_approx: bool = False,
 ) -> list[SmdpReport]:
-    """Pivotality of every single-choice ballot, from one
-    :class:`_Plurality` that all candidates share."""
-    plurality = _Plurality(profile, tol, pairwise_approx)
-    return [SmdpReport(c, plurality.pivot_prob(c)) for c in range(profile.kappa)]
+    """Pivotality of every single-choice ballot."""
+    return [
+        SmdpReport(c, smdp_pivot_prob(profile, c, tol, pairwise_approx))
+        for c in range(profile.kappa)
+    ]
