@@ -2,6 +2,8 @@
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import irvpivot
 
@@ -34,3 +36,12 @@ def test_package_exports_are_the_module_exports():
     expected = sorted(name for m in modules for name in m.__all__) + ["__version__"]
     assert sorted(irvpivot.__all__) == sorted(expected)
     assert len(set(irvpivot.__all__)) == len(irvpivot.__all__), "duplicate export"
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs about 0.9 s and 46 MB on import.  This process cannot
+    # tell, because conftest.py imports it, so a fresh interpreter checks.
+    code = "import sys, irvpivot; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -27,7 +27,7 @@ from irvpivot import (
     sweep_reports,
     total_pivot_prob,
 )
-from irvpivot import pivotal
+from irvpivot import pivotal, skellam
 from irvpivot.experiment import gen_powerlaw_profile, gen_uniform_profile
 from irvpivot.pivotal import PivotCalculator, drop_lists
 
@@ -455,7 +455,9 @@ PINNED_PROFILES = {
     "k4L2": truncated4,
 }
 PINNED_UTILITIES = (1.0, 0.25, 0.6, 0.0, 0.8)
-# (profile, sequence_ties, ballot, p_direct, p_indirect, p_total, expected_utility)
+# (profile, sequence_ties, ballot, p_direct, p_indirect, p_total, expected_utility),
+# recorded from the windowed-series kernel, which P(X > Y) still uses below
+# skellam._CLOSED_FORM_FLOOR.
 PINNED = [
     ('k3', False, (0,), 0.0190867149956501, 0.010521061874495648, 0.02960777687014575, 0.00904979452042747),
     ('k3', False, (1, 2), 0.030706559992753818, 0.0058903575199200035, 0.03659691751267382, -0.013077654140170628),
@@ -474,22 +476,49 @@ PINNED = [
 ]
 
 
+# The same reports, recorded from the closed-form kernel (chndtr for every
+# P(X > Y) of at least 1e-10); each value is within 1e-12 relative of PINNED.
+PINNED_CLOSED_FORM = {
+    ('k3', False, (0,)): (0.019086714995650032, 0.010521061874495655, 0.029607776870145687, 0.009049794520427446),
+    ('k3', False, (1, 2)): (0.030706559992753804, 0.005890357519919934, 0.036596917512673736, -0.013077654140170644),
+    ('k3', False, (2, 0, 1)): (0.03088996832304855, 0.0018941254045325966, 0.03278409372758115, 0.003457349124870256),
+    ('k4', False, (3,)): (0.014020246695258327, 0.0009744792096892834, 0.01499472590494761, -0.009273265410116369),
+    ('k4', False, (0, 2)): (0.01583376430573003, 0.010733935042276153, 0.02656769934800618, 0.012382732452561157),
+    ('k4', False, (1, 3, 0, 2)): (0.0161785476962292, 0.012105862553703467, 0.028284410249932668, -0.005767157704722944),
+    ('k4', True, (0, 2)): (0.018315300418551006, 0.013891527935437426, 0.03220682835398843, 0.01433041156715515),
+    ('k4', True, (1, 3, 0, 2)): (0.018839527934235222, 0.015948200478281698, 0.03478772841251692, -0.00633942564473189),
+    ('k5', False, (4,)): (0.0030611077448908625, 0.00234452928527381, 0.0054056370301646724, 0.001437210615016579),
+    ('k5', False, (2, 0, 3)): (0.003755313234881836, 0.003722923467595439, 0.007478236702477275, -0.0002223076149712307),
+    ('k5', False, (0, 1, 2, 3, 4)): (0.005695177950401631, 0.007578042959168752, 0.013273220909570383, -0.0019737127484961564),
+    ('k5', True, (3, 1)): (0.006501470129616468, 0.007424562306806501, 0.013926032436422969, -0.0036700876693743),
+    ('k4L2', False, (2,)): (0.006182011664763011, 0.0035830437914415878, 0.0097650554562046, 0.0014031268098000046),
+    ('k4L2', False, (1, 3)): (0.0076896551594523065, 0.010817153015390893, 0.0185068081748432, -0.004999257518350469),
+}
+
+
 @pytest.mark.parametrize("name,sequence_ties,ballot,p_direct,p_indirect,p_total,eu", PINNED)
-def test_report_pinned_values(name, sequence_ties, ballot, p_direct, p_indirect, p_total, eu):
+def test_report_pinned_values(
+    name, sequence_ties, ballot, p_direct, p_indirect, p_total, eu, monkeypatch
+):
     # Recorded from the engine that scored every event once per ballot; any
-    # change to the event arithmetic or the summation shows up here.
+    # change to the event arithmetic, the summation or the kernel shows up here.
     prof = PINNED_PROFILES[name]()
-    calc = PivotCalculator(prof, sequence_ties=sequence_ties)
-    rep = calc.report(ballot, PINNED_UTILITIES[: prof.kappa])
-    assert (rep.p_direct, rep.p_indirect, rep.p_total, rep.expected_utility) == (
-        p_direct, p_indirect, p_total, eu,
-    )
+    u = PINNED_UTILITIES[: prof.kappa]
+    want = PINNED_CLOSED_FORM[name, sequence_ties, ballot]
+    series = (p_direct, p_indirect, p_total, eu)
+    assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0) for a, b in zip(want, series))
+    rep = PivotCalculator(prof, sequence_ties=sequence_ties).report(ballot, u)
+    assert (rep.p_direct, rep.p_indirect, rep.p_total, rep.expected_utility) == want
     # A calculator that has already scored other ballots gives the same bits.
     warm = PivotCalculator(prof, sequence_ties=sequence_ties)
     for other in admissible_rankings(prof.kappa, prof.max_length):
         warm.report(other)
-    again = warm.report(ballot, PINNED_UTILITIES[: prof.kappa])
-    assert (again.p_direct, again.p_indirect, again.expected_utility) == (p_direct, p_indirect, eu)
+    again = warm.report(ballot, u)
+    assert (again.p_direct, again.p_indirect, again.p_total, again.expected_utility) == want
+    # With the closed form switched off, the series kernel's bits come back.
+    monkeypatch.setattr(skellam, "_CLOSED_FORM_FLOOR", math.inf)
+    rep = PivotCalculator(prof, sequence_ties=sequence_ties).report(ballot, u)
+    assert (rep.p_direct, rep.p_indirect, rep.p_total, rep.expected_utility) == series
 
 
 def test_expected_utility_cached_per_utility_vector():
@@ -522,8 +551,9 @@ def test_event_list_agrees_with_report_sums(name, sequence_ties, ballot):
 
 
 # sha256 of each report's JSON with its events, ``json.dumps(report.to_dict(True))``,
-# recorded from the per-key index-plan engine: (kappa, ballot, sequence_ties,
-# with utilities, digest).  The event order is part of the report JSON.
+# recorded from the per-key index-plan engine with the windowed-series kernel:
+# (kappa, ballot, sequence_ties, with utilities, digest).  The event order is
+# part of the report JSON.
 EVENT_JSON = [
     (2, (0,), False, False, "018fbae92441934e1422e136f9ef2fc308fdd192d07e01cde3903629dbb3c75a"),
     (2, (1, 0), True, True, "a7c055608e4d91804f2d7aa23664d3e73d1455af46e957dedc9ea48b2400ca3d"),
@@ -538,13 +568,37 @@ EVENT_JSON = [
 ]
 
 
+# The same digests, recorded from the closed-form kernel (chndtr for every
+# P(X > Y) of at least 1e-10), keyed by (kappa, ballot).  At kappa = 2 no
+# comparison reaches the kernel, so those two are unchanged.
+EVENT_JSON_CLOSED_FORM = {
+    (2, (0,)): "018fbae92441934e1422e136f9ef2fc308fdd192d07e01cde3903629dbb3c75a",
+    (2, (1, 0)): "a7c055608e4d91804f2d7aa23664d3e73d1455af46e957dedc9ea48b2400ca3d",
+    (3, (0,)): "2f90ee527a06707b1f10ba0118c7c0334187eb5b6e7e5e371fab967c458581a8",
+    (3, (2, 0, 1)): "eed4aa17ce85166b7fa631e146ea81c37128d0604f882b30a8c04395b2fa2bc2",
+    (4, (1, 3)): "cc4d743c88a58c4d30f6953cb79cf472ee6563e8f8ab45e345e9f55f3323bd02",
+    (4, (3, 0, 2, 1)): "fd561a469e8a4b6ce0a66da5762747f03f5fee870d1678f81f348c3d0bdc2d46",
+    (5, (4,)): "be1ebf3de2b18a5d59fed5c261d723e516c633fe03de7b8c12dba48d21b6df80",
+    (5, (0, 2, 1)): "3a5b7ee7c715bc6ed8ef2f5837b8dcbb268ab4ea47d37740dce4e729f51cafde",
+    (6, (5, 0)): "247d1acc3dedb085e76c14ab7062128268618d9aceedfc160174037fbe5ec71e",
+    (6, (2, 4, 1, 0, 3, 5)): "5309535cf37876059ac4d20d554f73de41be324045a7af0a174ff1728a07780d",
+}
+
+
 @pytest.mark.parametrize("kappa,ballot,sequence_ties,with_utilities,digest", EVENT_JSON)
-def test_event_json_pinned(kappa, ballot, sequence_ties, with_utilities, digest):
+def test_event_json_pinned(kappa, ballot, sequence_ties, with_utilities, digest, monkeypatch):
     prof = dirichlet_profile(kappa, 30.0 * kappa, seed=kappa)
     u = (1.0, 0.25, 0.6, 0.0, 0.8, -0.5)[:kappa] if with_utilities else None
-    rep = PivotCalculator(prof, sequence_ties=sequence_ties).report(ballot, u, with_events=True)
-    data = json.dumps(rep.to_dict(with_events=True)).encode()
-    assert hashlib.sha256(data).hexdigest() == digest
+
+    def report_digest():
+        calc = PivotCalculator(prof, sequence_ties=sequence_ties)
+        rep = calc.report(ballot, u, with_events=True)
+        return hashlib.sha256(json.dumps(rep.to_dict(with_events=True)).encode()).hexdigest()
+
+    assert report_digest() == EVENT_JSON_CLOSED_FORM[kappa, ballot]
+    # With the closed form switched off, the series kernel's bits come back.
+    monkeypatch.setattr(skellam, "_CLOSED_FORM_FLOOR", math.inf)
+    assert report_digest() == digest
 
 
 @settings(max_examples=30, deadline=None)

@@ -67,6 +67,17 @@ def test_prob_strictly_greater_matches_double_sum():
         )
 
 
+def test_deep_tail_keeps_series_bits():
+    # Below 1e-10, P(X > Y) still comes from the windowed series, bit for
+    # bit, because the benchmark's recorded figure1 values hold its deep-tail
+    # error (ROADMAP item 2).  The 40-digit sums of tests/reference.py give
+    # 6.3779554997237770e-75 at (1000/6, 4000/6), a pair that figure1's
+    # kappa = 3 profiles produce, and 1.2051538686292023e-60 at (250, 750):
+    # the series is 9.9% and 2.1e-4 relative below them.
+    assert prob_strictly_greater(1000.0 / 6.0, 4000.0 / 6.0) == 5.747112968641975e-75
+    assert prob_strictly_greater(250.0, 750.0) == 1.2049042641344919e-60
+
+
 def test_trichotomy_on_grid():
     eps = Tolerance().tail_eps
     for lam_a in RATE_GRID:
