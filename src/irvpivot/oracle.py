@@ -11,15 +11,36 @@ winner is the ballot's own surviving candidate, indirect otherwise.
 Counting uses the recipient table of :func:`elections._recipients`, built
 once per call: for every active-set bitmask and every ranking, the first
 listed candidate still standing (or ``kappa`` for an exhausted ballot).
-Each round scatters the ranking counts into per-candidate totals through
-that table, and the studied ballot adds one vote through its own column, so
-the recount also yields the ballot's final-round choice that tells direct
-from indirect pivots.  Only draws where some round was decided by at most
-one vote are recounted.
+:func:`_eliminate` counts many draws at once, each from its own active
+set.  A round drops the candidate with the smallest key, its total plus its
+tie strength, and the count records, per round, the active set, the loser,
+and who would drop instead were the loser given one more vote.
 
-Draws are generated in fixed-size blocks with a counter-based seed per
+The recount with the ballot is skipped wherever it cannot differ.  In every
+round the ballot adds one vote to exactly one candidate, its first choice
+still standing, or to nobody once it is exhausted:
+
+- if that candidate is not the round's loser, the loser's key is unchanged
+  and every other key only grows, so the same candidate drops;
+- if it is the loser, the first count has already recorded whether one more
+  vote saves it, which it does only when another candidate is level with
+  the loser or one vote ahead on a smaller tie strength.
+
+So up to the first round where the ballot's recipient is a loser that its
+vote saves, the count with the ballot drops the same candidates as the one
+without.  A draw with no such round keeps its winner and is not recounted.
+A save in the final round needs no recount either: the saved loser wins,
+as the ballot's own final-round choice.  Only a save in an earlier round
+is recounted, with the ballot, from the next round on, after dropping the
+candidate recorded as dropping instead.
+
+Draws are generated in blocks of 65,536 with a counter-based seed per
 block, so estimates are bit-for-bit reproducible and independent of how
-blocks would be scheduled across workers.
+blocks would be scheduled across workers.  Each block is sampled and
+counted in chunks of 16,384 draws, which bounds the working arrays.  The
+chunks take a block's Poisson counts and tie strengths in consecutive calls
+on the block's two generators, which consume their streams in draw order,
+so every chunk holds the values one call per block would give.
 """
 
 from __future__ import annotations
@@ -43,6 +64,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 16
+_CHUNK = 1 << 14
 _COUNT_STREAM = 0x636E7473
 _COIN_STREAM = 0x636F696E
 
@@ -94,76 +116,144 @@ def _block_rngs(cfg: OracleConfig, block: int) -> tuple[np.random.Generator, np.
     return counts, coins
 
 
-def _tabulate_block(
+def _argmin(v: np.ndarray) -> np.ndarray:
+    """``v.argmin(axis=0)`` for a few long rows, without its per-column
+    loop: the first row holding a column's minimum is the length of the
+    run of rows above it that do not."""
+    notmin = v != np.minimum.reduce(v, axis=0)
+    first = notmin[0].astype(np.intp)
+    run = notmin[0]
+    for row in notmin[1:-1]:
+        run = run & row
+        first += run
+    return first
+
+
+def _eliminate(
     counts: np.ndarray,
     recip: np.ndarray,
     tie_strength: np.ndarray,
+    mask: int | np.ndarray,
     extra: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized IRV count of many electorates at once.
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
+    """Vectorized IRV count of many electorates, each from its own active set.
 
     Args:
         counts: (n, R) ballot counts per ranking.
         recip: (2**kappa, R) recipient table from :func:`_recipients`.
         tie_strength: (n, kappa) floats in [0, 1); on equal totals the
             candidate with smaller strength drops (and loses the final).
+        mask: Active-set bitmask to count from, one for all draws or one
+            per draw; every mask has the same number (>= 2) of candidates.
         extra: Optional recipient column of one more ballot, added to
             every electorate.
 
     Returns:
-        (winner, final, close): winner per draw, the active-set bitmask of
-        the final round, and a flag marking draws where some round was
-        decided by a margin of at most one vote (only those can react to
-        one more ballot).
+        (rounds, winner): per round, ``(mask, loser, instead)`` arrays: the
+        active set, the candidate that drops, and the one that would drop
+        were the loser given one more vote (the loser itself when that
+        vote cannot save it); then the winner per draw.
     """
     n, kappa = tie_strength.shape
-    bits = (np.arange(1 << kappa)[:, None] >> np.arange(kappa)) & 1 == 1
-    inactive = np.where(bits, 0.0, np.inf).T.copy()
-    # Totals are kept candidate-major, as a flat (kappa + 1, n) array whose
-    # row kappa collects exhausted ballots; per-candidate reductions over
-    # axis 0 are far cheaper than over a short axis 1.
-    offsets = recip.T * n
-    rows = np.arange(n)
-    mask = np.full(n, (1 << kappa) - 1, dtype=np.intp)
-    close = np.zeros(n, dtype=bool)
-    for _ in range(kappa - 1):
-        final = mask
-        totals = np.zeros((kappa + 1) * n, dtype=np.int64)
-        for j in range(len(offsets)):
-            totals[offsets[j].take(mask) + rows] += counts[:, j]
+    at = np.arange(n)
+    # Candidate-major (kappa, n) rows, so reductions across candidates run
+    # over long contiguous rows; row kappa of the totals collects exhausted
+    # ballots.  A candidate out of the race has an infinite strength.
+    weights = np.ascontiguousarray(counts.T, dtype=np.float64)
+    strength = tie_strength.T.copy()
+    np.copyto(strength, np.inf, where=(mask >> np.arange(kappa)[:, None]) & 1 == 0)
+    slots = recip.T * n
+    rounds = []
+    for _ in range(int(np.max(mask)).bit_count() - 1):
+        if np.ndim(mask) == 0:
+            # One active set for all draws: each ranking's counts go whole
+            # to its recipient.
+            totals = np.zeros((kappa + 1, n))
+            for row, c in zip(weights, recip[mask]):
+                totals[c] += row
+            mask = np.full(n, mask)
+        else:
+            index = slots.take(mask, axis=1)
+            index += at
+            totals = np.bincount(
+                index.ravel(), weights=weights.ravel(), minlength=(kappa + 1) * n
+            ).reshape(kappa + 1, n)
         if extra is not None:
-            totals[extra.take(mask) * n + rows] += 1
-        key = totals[: kappa * n].reshape(kappa, n) + inactive.take(mask, axis=1)
-        close |= (key <= key.min(axis=0) + 1.0).sum(axis=0) >= 2
-        loser = np.argmin(key + tie_strength.T, axis=0)
+            totals.ravel()[extra.take(mask) * n + at] += 1.0
+        key = totals[:kappa] + strength
+        loser = _argmin(key)
+        slot = loser * n + at
+        key.put(slot, totals.take(slot) + 1.0 + strength.take(slot))
+        rounds.append((mask, loser, _argmin(key)))
+        strength.put(slot, np.inf)
         mask = mask & ~(1 << loser)
-    return bits.argmax(axis=1).take(mask), final, close
+    # The one candidate left is the one whose strength is still finite.
+    return rounds, _argmin(strength)
+
+
+def _ballot_pivots(
+    extra: np.ndarray,
+    rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    saveable: list[np.ndarray],
+    counts: np.ndarray,
+    recip: np.ndarray,
+    tie_strength: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws one more ballot can change, read off the first count.
+
+    ``saveable[r]`` lists the draws whose round-``r`` loser one more vote
+    would save.  A draw is taken at the first round whose loser is also the
+    ballot's recipient.  Returns ``(draws, w1, direct)``: the draws taken,
+    the winner with the ballot, and whether that winner is the ballot's own
+    choice in the final round.  On every other draw the count with the
+    ballot drops the same candidates as the count without it (see the
+    module docstring).
+    """
+    taken = np.zeros(len(tie_strength), dtype=bool)
+    parts = []
+    for r, ((mask, loser, instead), idx) in enumerate(zip(rounds, saveable)):
+        hit = idx[extra.take(mask.take(idx)) == loser.take(idx)]
+        hit = hit[~taken[hit]]
+        taken[hit] = True
+        if r == len(rounds) - 1:
+            # The final: the saved loser beats the one candidate left.
+            parts.append((hit, loser[hit], np.ones(len(hit), dtype=bool)))
+        elif len(hit):
+            later, w1 = _eliminate(
+                counts[hit], recip, tie_strength[hit], mask[hit] & ~(1 << instead[hit]), extra
+            )
+            parts.append((hit, w1, extra.take(later[-1][0]) == w1))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _pivot_blocks(
     profile: BallotProfile, ballots: Sequence[Ranking], cfg: OracleConfig
 ) -> Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Per block of draws, one ``(w0, w1, direct)`` per ballot over the
-    block's near-tie draws: the winner without and with the ballot, and
-    whether the ballot's surviving candidate at the final round is ``w1``
-    (the pivot, where ``w1 != w0``, is then direct)."""
+    """Per chunk of draws, one ``(w0, w1, direct)`` per ballot over the
+    chunk's draws that the ballot can change: the winner without and with
+    the ballot, and whether the ballot's surviving candidate at the final
+    round is ``w1`` (the pivot, where ``w1 != w0``, is then direct).  All
+    other draws have ``w1 == w0``."""
     rankings = sorted(profile.rates)
     rates = np.array([profile.rates[r] for r in rankings], dtype=np.float64)
     recip = _recipients(rankings, profile.kappa)
     extras = _recipients(ballots, profile.kappa).T
     for block, done in enumerate(range(0, cfg.draws, _BLOCK)):
-        n = min(_BLOCK, cfg.draws - done)
         rng_counts, rng_coins = _block_rngs(cfg, block)
-        counts = rng_counts.poisson(rates, size=(n, len(rates)))
-        tie_strength = rng_coins.random((n, profile.kappa))
-        w0, _, near = _tabulate_block(counts, recip, tie_strength)
-        idx = np.flatnonzero(near)
-        counts, tie_strength, w0 = counts[idx], tie_strength[idx], w0[idx]
-        out = []
-        for extra in extras:
-            w1, final, _ = _tabulate_block(counts, recip, tie_strength, extra)
-            out.append((w0, w1, extra[final] == w1))
-        yield out
+        size = min(_BLOCK, cfg.draws - done)
+        for start in range(0, size, _CHUNK):
+            n = min(_CHUNK, size - start)
+            counts = rng_counts.poisson(rates, size=(n, len(rates)))
+            tie_strength = rng_coins.random((n, profile.kappa))
+            rounds, w0 = _eliminate(counts, recip, tie_strength, (1 << profile.kappa) - 1)
+            saveable = [np.flatnonzero(instead != loser) for _, loser, instead in rounds]
+            out = []
+            for extra in extras:
+                draws, w1, direct = _ballot_pivots(
+                    extra, rounds, saveable, counts, recip, tie_strength
+                )
+                out.append((w0[draws], w1, direct))
+            yield out
 
 
 def mc_pivot_estimates(

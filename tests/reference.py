@@ -1,16 +1,25 @@
-"""High-precision reference evaluations, independent of the library's code.
+"""Reference evaluations, independent of the library's fast code paths.
 
-Everything here runs in mpmath at ``DIGITS`` significant digits and sums an
-explicit finite window.  ``mpmath.nsum`` over [0, inf) is not used: it
-returned 1.5e-270 for P(X > Y) at rates (167, 667), where the truth is
+The kernel references run in mpmath at ``DIGITS`` significant digits and
+sum an explicit finite window.  ``mpmath.nsum`` over [0, inf) is not used:
+it returned 1.5e-270 for P(X > Y) at rates (167, 667), where the truth is
 near 7.5e-75.
+
+The oracle reference replays the Monte-Carlo oracle's random streams and
+counts every draw twice, without and with the ballot, with the scalar
+:func:`irvpivot.elections.tabulate`.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath
+import numpy as np
+
+from irvpivot import oracle
+from irvpivot.elections import RealizedElection, tabulate
 
 DIGITS = 40
 
@@ -64,3 +73,52 @@ def prob_strictly_greater(lam_a: float, lam_b: float) -> mpmath.mpf:
             total += pa[x] * below
             below += pb[x]
         return +total
+
+
+def oracle_outcomes(profile, ballots, cfg) -> list[list[tuple[int, int, int | None]]]:
+    """Per ballot, per Monte-Carlo draw: the winner without and with the
+    ballot, and the ballot's surviving candidate in the final round (None
+    when it is exhausted by then).
+
+    Each block's counts and tie strengths are drawn from
+    ``oracle._block_rngs`` in one call per generator.  Ties go as in the
+    oracle: on equal totals the smaller tie strength drops.  An electorate
+    with no ballots, which ``tabulate`` refuses, drops candidates by
+    strength alone, so the strongest wins.
+    """
+    kappa = profile.kappa
+    rankings = sorted(profile.rates)
+    rates = [profile.rates[r] for r in rankings]
+    out = [[] for _ in ballots]
+    for block, done in enumerate(range(0, cfg.draws, oracle._BLOCK)):
+        n = min(oracle._BLOCK, cfg.draws - done)
+        rng_counts, rng_coins = oracle._block_rngs(cfg, block)
+        counts = rng_counts.poisson(rates, size=(n, len(rates)))
+        strength = rng_coins.random((n, kappa))
+        for i in range(n):
+            order = [int(c) for c in np.argsort(-strength[i])]
+            votes = dict(zip(rankings, counts[i].tolist()))
+            if sum(votes.values()):
+                w0 = tabulate(RealizedElection(kappa, votes), tie_break=order)[0]
+            else:
+                w0 = order[0]
+            for b, ballot in enumerate(ballots):
+                more = dict(votes)
+                more[ballot] = more.get(ballot, 0) + 1
+                w1, drops = tabulate(RealizedElection(kappa, more), tie_break=order)
+                survivor = next((c for c in ballot if c not in drops[: kappa - 2]), None)
+                out[b].append((w0, w1, survivor))
+    return out
+
+
+def oracle_pivot_counts(outcomes) -> tuple[int, int]:
+    """Direct and indirect pivotal draws among one ballot's outcomes."""
+    direct = sum(w1 != w0 and survivor == w1 for w0, w1, survivor in outcomes)
+    indirect = sum(w1 != w0 and survivor != w1 for w0, w1, survivor in outcomes)
+    return direct, indirect
+
+
+def oracle_expected_utility(outcomes, utilities) -> float:
+    """Mean winner-utility change per draw, summed exactly and rounded once."""
+    swing = sum(Fraction(utilities[w1] - utilities[w0]) for w0, w1, _ in outcomes)
+    return float(swing / len(outcomes))
