@@ -16,7 +16,8 @@ applies the rule one ranking at a time, the reference for that table.
 
 The input rules live here too, one check per kind of input, and every
 module calls them: :func:`_integral` for any integer, :func:`_check_candidate`
-for a candidate id, :func:`_check_order` for an order of all candidates and
+for a candidate id, :func:`_check_ranking` for a ranking within the ballot
+limits, :func:`_check_order` for an order of all candidates,
 :func:`_check_limits` for kappa and the ballot length, and
 :func:`_check_voters` for an expected number of voters.
 """
@@ -86,7 +87,11 @@ def _check_order(order: Iterable[int], kappa: int, what: str = "order") -> Ranki
     return order
 
 
-def _validate_ranking(ranking: Ranking, kappa: int, max_length: int) -> None:
+def _check_ranking(seq: Iterable[int], kappa: int, max_length: int) -> Ranking:
+    """``seq`` as a ranking of 1..``max_length`` distinct ids in
+    ``0..kappa-1``.  Each entry is converted once; the checks fire in the
+    order type, length, repeat, range."""
+    ranking = _as_ranking(seq)
     if not 1 <= len(ranking) <= max_length:
         raise ValueError(
             f"ranking {ranking!r} has length {len(ranking)}, allowed 1..{max_length}"
@@ -94,7 +99,9 @@ def _validate_ranking(ranking: Ranking, kappa: int, max_length: int) -> None:
     if len(set(ranking)) != len(ranking):
         raise ValueError(f"ranking {ranking!r} repeats a candidate")
     for c in ranking:
-        _check_candidate(c, kappa)
+        if not 0 <= c < kappa:
+            _check_candidate(c, kappa)  # raises the out-of-range message
+    return ranking
 
 
 def _check_limits(kappa: int, max_length: int | None) -> tuple[int, int]:
@@ -117,9 +124,7 @@ def _check_voters(n_voters) -> None:
 
 def _check_ballot(profile: "BallotProfile", ballot: Sequence[int]) -> Ranking:
     """The ballot as a ranking, validated against the profile's limits."""
-    ballot = _as_ranking(ballot)
-    _validate_ranking(ballot, profile.kappa, profile.max_length)
-    return ballot
+    return _check_ranking(ballot, profile.kappa, profile.max_length)
 
 
 def _utility_vector(
@@ -234,8 +239,7 @@ class BallotProfile:
         self.kappa, self.max_length = _check_limits(kappa, max_length)
         cleaned: dict[Ranking, float] = {}
         for key, rate in rates.items() if isinstance(rates, Mapping) else rates:
-            ranking = _as_ranking(key)
-            _validate_ranking(ranking, self.kappa, self.max_length)
+            ranking = _check_ranking(key, self.kappa, self.max_length)
             rate = float(rate)
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"rate for {ranking!r} must be finite and >= 0, got {rate}")
@@ -299,8 +303,7 @@ class RealizedElection:
         self.kappa, self.max_length = _check_limits(kappa, max_length)
         cleaned: dict[Ranking, int] = {}
         for key, count in counts.items() if isinstance(counts, Mapping) else counts:
-            ranking = _as_ranking(key)
-            _validate_ranking(ranking, self.kappa, self.max_length)
+            ranking = _check_ranking(key, self.kappa, self.max_length)
             count = _integral(count, f"count for {ranking!r}")
             if count < 0:
                 raise ValueError(f"count for {ranking!r} must be >= 0, got {count}")

@@ -89,20 +89,40 @@ def smdp_pivot_prob(
 
     # Exact tie-level conditioning: sum over the tied count m of
     #   P(X_j = m) * [1/2 P(X_c = m) + 1/2 P(X_c = m - 1)] * prod_k P(X_k < m)
+    # over each opponent j's window.  The windows are cut from one grid that
+    # starts a count below their union, holding each distinct rate's pmf,
+    # and each bystander rate's CDF over the windows that read it.  Both
+    # are computed element by element, so a slice holds the same bits as an
+    # array made for that window alone, and each sum runs over that window.
+    windows = {}
+    for j in others:
+        lo_center, hi_center = sorted((lam_c, lams[j]))
+        windows[j] = _window(lo_center, hi_center, hi_center + 1.0)
+    start = min(lo for lo, _ in windows.values()) - 1
+    grid = np.arange(start, max(hi for _, hi in windows.values()) + 1, dtype=float)
+    pmf = {lam: np.exp(_pois_logpmf(grid, lam)) for lam in {lam_c, *(lams[j] for j in others)}}
+    spans = {}  # bystander rate -> union of the windows whose product reads it
+    for j in others:
+        for k in others:
+            if k != j:
+                lo, hi = spans.get(lams[k], windows[j])
+                spans[lams[k]] = min(lo, windows[j][0]), max(hi, windows[j][1])
+    cdf = {
+        lam: (lo, _poisson_cdf_below(grid[lo - start : hi + 1 - start], lam))
+        for lam, (lo, hi) in spans.items()
+    }
+    p_c = pmf[lam_c]
     total = 0.0
     for j in others:
-        lam_j = lams[j]
-        lo, hi = _window(min(lam_c, lam_j), max(lam_c, lam_j), max(lam_c, lam_j) + 1.0)
-        ms = np.arange(lo, hi + 1, dtype=float)
-        p_j = np.exp(_pois_logpmf(ms, lam_j))
-        p_c_eq = np.exp(_pois_logpmf(ms, lam_c))
-        p_c_behind = np.exp(_pois_logpmf(ms - 1.0, lam_c))
-        below = np.ones_like(ms)
+        lo, hi = windows[j]
+        i, n = lo - start, hi + 1 - lo
+        below = np.ones(n)
         for k in others:
-            if k == j:
-                continue
-            below *= _poisson_cdf_below(ms, lams[k])
-        total += float(np.sum(p_j * 0.5 * (p_c_eq + p_c_behind) * below))
+            if k != j:
+                at, cdf_k = cdf[lams[k]]
+                below *= cdf_k[lo - at : lo - at + n]
+        p_j = pmf[lams[j]][i : i + n]
+        total += float(np.sum(p_j * 0.5 * (p_c[i : i + n] + p_c[i - 1 : i - 1 + n]) * below))
     return min(1.0, max(0.0, total))
 
 

@@ -5,6 +5,10 @@ sum an explicit finite window.  ``mpmath.nsum`` over [0, inf) is not used:
 it returned 1.5e-270 for P(X > Y) at rates (167, 667), where the truth is
 near 7.5e-75.
 
+The plurality reference scores each opponent's tie window on its own
+arrays, the loop :func:`irvpivot.smdp.smdp_pivot_prob` ran before it cut
+every window from one shared grid; the two must agree bit for bit.
+
 The oracle reference replays the Monte-Carlo oracle's random streams and
 counts every draw twice, without and with the ballot, with the scalar
 :func:`irvpivot.elections.tabulate`.
@@ -17,9 +21,12 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from scipy.special import gammaincc
 
 from irvpivot import oracle
 from irvpivot.elections import RealizedElection, tabulate
+from irvpivot.skellam import _pois_logpmf, _window, tie_terms
+from irvpivot.smdp import first_choice_rates
 
 DIGITS = 40
 
@@ -73,6 +80,35 @@ def prob_strictly_greater(lam_a: float, lam_b: float) -> mpmath.mpf:
             total += pa[x] * below
             below += pb[x]
         return +total
+
+
+def smdp_pivot_prob(profile, candidate: int) -> float:
+    """Exact plurality pivot probability, with fresh pmf and CDF arrays over
+    each opponent's own window (two candidates take the head-to-head tie)."""
+    lams = first_choice_rates(profile)
+    lam_c = lams[candidate]
+    others = [j for j in range(profile.kappa) if j != candidate]
+    if len(others) == 1:
+        brk, mk = tie_terms(lam_c, lams[others[0]])
+        return min(1.0, max(0.0, 0.5 * (brk + mk)))
+    total = 0.0
+    for j in others:
+        lam_j = lams[j]
+        lo, hi = _window(min(lam_c, lam_j), max(lam_c, lam_j), max(lam_c, lam_j) + 1.0)
+        ms = np.arange(lo, hi + 1, dtype=float)
+        p_j = np.exp(_pois_logpmf(ms, lam_j))
+        p_c_eq = np.exp(_pois_logpmf(ms, lam_c))
+        p_c_behind = np.exp(_pois_logpmf(ms - 1.0, lam_c))
+        below = np.ones_like(ms)
+        for k in others:
+            if k == j:
+                continue
+            if lams[k] == 0.0:
+                below *= (ms >= 1).astype(float)
+            else:
+                below *= np.where(ms >= 1, gammaincc(np.maximum(ms, 1.0), lams[k]), 0.0)
+        total += float(np.sum(p_j * 0.5 * (p_c_eq + p_c_behind) * below))
+    return min(1.0, max(0.0, total))
 
 
 def oracle_outcomes(profile, ballots, cfg) -> list[list[tuple[int, int, int | None]]]:

@@ -41,6 +41,22 @@ def test_profile_validation():
     assert prof.total_expected == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize(
+    "ranking, message",
+    [
+        ((0, 0, 9, 1.5), "1.5"),
+        ((0, 0, 9, 1), "has length 4"),
+        ((0, 0, 9), "repeats a candidate"),
+        ((0, 9, 7), "candidate 9 out of range"),
+    ],
+)
+def test_ranking_checks_fire_in_order(ranking, message):
+    # type, then length, then repeat, then the first id out of range
+    for make in (BallotProfile, RealizedElection):
+        with pytest.raises(ValueError, match=message):
+            make(3, {ranking: 1})
+
+
 def test_profile_json_round_trip(tmp_path):
     prof = BallotProfile(3, {(0, 1): 2.5, (2,): 1.5, (1, 2, 0): 3.0})
     path = tmp_path / "profile.json"

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irvpivot import (
     BallotProfile,
+    admissible_rankings,
     first_choice_rates,
     gen_powerlaw_profile,
     gen_uniform_profile,
@@ -18,6 +21,7 @@ from irvpivot import (
 )
 
 from conftest import dirichlet_profile
+import reference
 
 
 def rates_profile(lams):
@@ -144,3 +148,38 @@ def test_reports_pinned_bits():
     )
     digest = hashlib.sha256(dump.encode()).hexdigest()
     assert digest == "518d3aa203edcc3f0b1b694fef7401cb2b2149827be513a835ef015984e6834a"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_exact_path_matches_per_window_reference(data, seed):
+    # Truncated Dirichlet profiles, down to totals small enough that every
+    # window starts at count 0 and the shared grid at count -1.
+    kappa = data.draw(st.integers(2, 5), label="kappa")
+    max_length = data.draw(st.integers(1, kappa), label="max_length")
+    total = data.draw(
+        st.one_of(st.sampled_from([0.0, 0.5, 5.0, 60.0, 1000.0]), st.floats(0.0, 5000.0)),
+        label="total",
+    )
+    rankings = admissible_rankings(kappa, max_length)
+    weights = np.random.default_rng(seed).dirichlet(np.ones(len(rankings)))
+    prof = BallotProfile(kappa, dict(zip(rankings, total * weights)), max_length)
+    for c in range(kappa):
+        assert smdp_pivot_prob(prof, c) == reference.smdp_pivot_prob(prof, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, 0.3, 4.0, 100.0, 600.0]), st.floats(0.0, 2000.0)),
+        min_size=2,
+        max_size=5,
+    )
+)
+@example([0.0, 0.0, 3.0, 3.0])
+@example([600.0, 100.0, 100.0, 100.0, 100.0])
+@example([0.0, 0.0, 0.0])
+def test_zero_and_equal_rates_match_per_window_reference(lams):
+    prof = rates_profile(lams)
+    for c in range(len(lams)):
+        assert smdp_pivot_prob(prof, c) == reference.smdp_pivot_prob(prof, c)
