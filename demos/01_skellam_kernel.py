@@ -36,7 +36,7 @@ print(f"pmf(0 | 0, 0) = {skellam_pmf(0, 0.0, 0.0)}")
 
 # The truncation bound is an accepted argument, but the kernel's window is a
 # fixed 12 standard deviations plus 40 terms today, so a looser bound gives
-# the same digits (ROADMAP item 5 makes the window follow it).  That window
+# the same digits (ROADMAP item 2(d) makes the window follow it).  That window
 # keeps absolute error below 1e-12 even at rates around a million.
 loose = Tolerance(tail_eps=1e-6)
 print(f"\nlarge rates: P(X > Y) at (1e6, 1e6 - 5000) = {prob_strictly_greater(1e6, 1e6 - 5000):.10f}")

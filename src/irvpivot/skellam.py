@@ -13,7 +13,7 @@ front-runner profiles come from the series' deep tail (ROADMAP item 2).
 The pmf, the tie terms and the deep tail of P(X > Y) are sums over a
 fixed window of 12 standard deviations plus 40 terms (:func:`_window`).
 ``Tolerance.tail_eps`` is validated and passed along, but neither the
-window nor the closed form follows it (ROADMAP item 5), so every value
+window nor the closed form follows it (ROADMAP item 2(d)), so every value
 gives the same results.  The sums have no special-function edge cases
 and handle degenerate rates exactly.
 """

@@ -11,6 +11,7 @@ each head-to-head tie as if the remaining candidates did not exist.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,10 +55,18 @@ def smdp_pivot_prob(
     """Probability one added first-place vote for ``candidate`` changes
     the plurality winner.
 
+    With three or more candidates, the exact value comes from one pass that
+    scores every candidate at the profile's first-choice rates; the last
+    rate vector's results are kept, so scoring each candidate in turn costs
+    one pass.
+
     Args:
         profile: Expected ballot counts (only first choices are used).
         candidate: Candidate receiving the vote.
-        tol: Kernel truncation bound.
+        tol: Kernel truncation bound, passed to the kernel by the
+            head-to-head variant and at two candidates; the exact path with
+            three or more candidates never reads it.  The kernel validates
+            it but no result depends on it yet (see :mod:`irvpivot.skellam`).
         pairwise_approx: Score each two-way tie with the head-to-head tie
             mass alone, ignoring where the other candidates sit, instead of
             the exact top-two conditioning.
@@ -67,63 +76,79 @@ def smdp_pivot_prob(
     """
     candidate = _check_candidate(candidate, profile.kappa)
     lams = first_choice_rates(profile)
+    if profile.kappa > 2 and not pairwise_approx:
+        return _tie_level_probs(tuple(lams))[candidate]
     lam_c = lams[candidate]
     others = [j for j in range(profile.kappa) if j != candidate]
-
-    if len(others) == 1 or pairwise_approx:
-        total = 0.0
-        for j in others:
-            if pairwise_approx and len(others) > 1:
-                # Everyone else must sit below the tie; proxy the unknown
-                # tie level by a Poisson count at the pair's mean rate.
-                level = 0.5 * (lam_c + lams[j])
-                below = 1.0
-                for k in others:
-                    if k != j:
-                        below *= prob_strictly_greater(level, lams[k], tol)
-            else:
-                below = 1.0
-            brk, mk = tie_terms(lam_c, lams[j], tol)
-            total += 0.5 * (brk + mk) * below
-        return min(1.0, max(0.0, total))
-
-    # Exact tie-level conditioning: sum over the tied count m of
-    #   P(X_j = m) * [1/2 P(X_c = m) + 1/2 P(X_c = m - 1)] * prod_k P(X_k < m)
-    # over each opponent j's window.  The windows are cut from one grid that
-    # starts a count below their union, holding each distinct rate's pmf,
-    # and each bystander rate's CDF over the windows that read it.  Both
-    # are computed element by element, so a slice holds the same bits as an
-    # array made for that window alone, and each sum runs over that window.
-    windows = {}
+    total = 0.0
     for j in others:
-        lo_center, hi_center = sorted((lam_c, lams[j]))
-        windows[j] = _window(lo_center, hi_center, hi_center + 1.0)
+        if len(others) > 1:
+            # Everyone else must sit below the tie; proxy the unknown
+            # tie level by a Poisson count at the pair's mean rate.
+            level = 0.5 * (lam_c + lams[j])
+            below = 1.0
+            for k in others:
+                if k != j:
+                    below *= prob_strictly_greater(level, lams[k], tol)
+        else:
+            below = 1.0
+        brk, mk = tie_terms(lam_c, lams[j], tol)
+        total += 0.5 * (brk + mk) * below
+    return min(1.0, max(0.0, total))
+
+
+@functools.lru_cache(maxsize=1)
+def _tie_level_probs(lams: tuple[float, ...]) -> tuple[float, ...]:
+    """Exact tie-level pivot probability of every candidate at these
+    first-choice rates.
+
+    For candidate c, the sum over each opponent j's window of the tied
+    count m of
+        P(X_j = m) * [1/2 P(X_c = m) + 1/2 P(X_c = m - 1)] * prod_k P(X_k < m).
+    Every window of every candidate is cut from one grid that starts a count
+    below their union, holding each distinct rate's pmf, and each bystander
+    rate's CDF over the windows that read it.  Both are computed element by
+    element, so a slice holds the same bits as an array made for that window
+    alone, and each sum runs over that window in the order a one-candidate
+    loop would take.  The result depends on the rates alone; only the last
+    vector's is kept, so scoring the candidates of one profile in turn costs
+    one pass.
+    """
+    kappa = len(lams)
+    windows = {}  # candidate pair, either order -> window of their tie level
+    spans = {}  # bystander rate -> union of the windows whose product reads it
+    for a in range(kappa):
+        for b in range(a + 1, kappa):
+            lo_center, hi_center = sorted((lams[a], lams[b]))
+            lo, hi = windows[a, b] = windows[b, a] = _window(lo_center, hi_center, hi_center + 1.0)
+            for k in range(kappa):
+                if k != a and k != b:
+                    span_lo, span_hi = spans.get(lams[k], (lo, hi))
+                    spans[lams[k]] = min(span_lo, lo), max(span_hi, hi)
     start = min(lo for lo, _ in windows.values()) - 1
     grid = np.arange(start, max(hi for _, hi in windows.values()) + 1, dtype=float)
-    pmf = {lam: np.exp(_pois_logpmf(grid, lam)) for lam in {lam_c, *(lams[j] for j in others)}}
-    spans = {}  # bystander rate -> union of the windows whose product reads it
-    for j in others:
-        for k in others:
-            if k != j:
-                lo, hi = spans.get(lams[k], windows[j])
-                spans[lams[k]] = min(lo, windows[j][0]), max(hi, windows[j][1])
+    pmf = {lam: np.exp(_pois_logpmf(grid, lam)) for lam in set(lams)}
     cdf = {
         lam: (lo, _poisson_cdf_below(grid[lo - start : hi + 1 - start], lam))
         for lam, (lo, hi) in spans.items()
     }
-    p_c = pmf[lam_c]
-    total = 0.0
-    for j in others:
-        lo, hi = windows[j]
-        i, n = lo - start, hi + 1 - lo
-        below = np.ones(n)
-        for k in others:
-            if k != j:
-                at, cdf_k = cdf[lams[k]]
-                below *= cdf_k[lo - at : lo - at + n]
-        p_j = pmf[lams[j]][i : i + n]
-        total += float(np.sum(p_j * 0.5 * (p_c[i : i + n] + p_c[i - 1 : i - 1 + n]) * below))
-    return min(1.0, max(0.0, total))
+    out = []
+    for c in range(kappa):
+        others = [j for j in range(kappa) if j != c]
+        p_c = pmf[lams[c]]
+        total = 0.0
+        for j in others:
+            lo, hi = windows[c, j]
+            i, n = lo - start, hi + 1 - lo
+            below = np.ones(n)
+            for k in others:
+                if k != j:
+                    at, cdf_k = cdf[lams[k]]
+                    below *= cdf_k[lo - at : lo - at + n]
+            p_j = pmf[lams[j]][i : i + n]
+            total += float(np.sum(p_j * 0.5 * (p_c[i : i + n] + p_c[i - 1 : i - 1 + n]) * below))
+        out.append(min(1.0, max(0.0, total)))
+    return tuple(out)
 
 
 def _poisson_cdf_below(ms: np.ndarray, lam: float) -> np.ndarray:

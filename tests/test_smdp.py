@@ -183,3 +183,66 @@ def test_zero_and_equal_rates_match_per_window_reference(lams):
     prof = rates_profile(lams)
     for c in range(len(lams)):
         assert smdp_pivot_prob(prof, c) == reference.smdp_pivot_prob(prof, c)
+
+
+def twin_profiles(lams):
+    """Two full-length profiles with first-choice rates ``lams`` whose later
+    positions differ."""
+    kappa = len(lams)
+    pair = []
+    for order in (sorted, lambda rest: sorted(rest, reverse=True)):
+        rates = {(c, *order(j for j in range(kappa) if j != c)): lam for c, lam in enumerate(lams)}
+        pair.append(BallotProfile(kappa, rates))
+    return pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    lams=st.lists(
+        st.one_of(st.sampled_from([0.0, 4.0, 100.0]), st.floats(0.0, 2000.0)),
+        min_size=3,
+        max_size=5,
+    ),
+)
+def test_scores_do_not_depend_on_earlier_calls(data, seed, lams):
+    # The exact path keeps the last rate vector's scores; every call must
+    # still give what a fresh per-window evaluation gives, whatever came
+    # before it.
+    twins = twin_profiles(lams)
+    assert first_choice_rates(twins[0]) == first_choice_rates(twins[1])
+    mutable = dirichlet_profile(4, 300.0, seed=seed)
+    profiles = [dirichlet_profile(k, 60.0 * k, seed=seed + k) for k in (3, 5)]
+    profiles += twins + [mutable, rates_profile(lams)]
+    rankings = sorted(mutable.rates)
+
+    def check(prof, c):
+        assert smdp_pivot_prob(prof, c) == reference.smdp_pivot_prob(prof, c)
+
+    # Memo hits across profiles that share first choices, and a profile
+    # whose rates change between two calls.
+    for prof in twins:
+        for c in range(prof.kappa):
+            check(prof, c)
+    check(mutable, 0)
+    mutable.rates[rankings[0]] += 50.0
+    check(mutable, 1)
+
+    steps = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(profiles) - 1),
+                st.integers(0, 4),
+                st.one_of(st.none(), st.floats(0.0, 500.0)),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        label="steps",
+    )
+    for i, c, new_rate in steps:
+        if new_rate is not None:
+            mutable.rates[rankings[c % len(rankings)]] = new_rate
+        prof = profiles[i]
+        check(prof, c % prof.kappa)
