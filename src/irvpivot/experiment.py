@@ -153,10 +153,11 @@ def run_experiment(
     computed once per relabeling class of the profiles of this call
     (:func:`_profile_key`): the flat distribution gives the same profile
     every run, and every full-length front-runner profile of one kappa is a
-    relabeling of every other.  Relabeling leaves each ballot's IRV
-    pivot probability bitwise unchanged, and ``math.fsum`` does not depend
-    on the order of its terms, so a reused total has the bits a fresh sweep
-    would give.  The plurality total is computed for every contest: its
+    relabeling of every other.  The engine multiplies each round's
+    comparisons in ascending order of value and adds with ``math.fsum``,
+    which does not depend on the order of its terms, so relabeling leaves
+    each ballot's IRV pivot probability bitwise unchanged, and a reused
+    total has the bits a fresh sweep would give.  The plurality total is computed for every contest: its
     last bit can change under relabeling.
 
     Args:

@@ -7,28 +7,25 @@ first-place tie that the candidate then wins.  It is *indirectly* pivotal
 when the extra vote flips a last-place tie in an earlier round, changing
 the elimination order so that some other candidate wins.
 
-Both cases are enumerated over elimination sequences.  Each sequence is
-scored as a product of pairwise "survivor beats dropped" probabilities,
-evaluated at the vote totals of the round where the drop happens, times a
-fair-coin tie term at the round where the single added vote matters.  All
+Both cases are sums over elimination sequences.  Each sequence is scored
+as a product of pairwise "survivor beats dropped" probabilities, evaluated
+at the vote totals of the round where the drop happens, times a fair-coin
+tie term at the round where the single added vote matters.  All
 probabilities come from the Skellam kernel and the expected vote totals of
 the ballot profile; pairwise comparisons within and across rounds are
-multiplied as if independent.  An event's score does not depend on the
-ballot, only which events a ballot position can decide does, so events are
-listed once per kappa (:class:`_EventTable`) and scored once per profile
-(:class:`PivotCalculator`).
+multiplied as if independent.  A round's factor depends only on the set
+already dropped and the candidate dropped now, so the sums are dynamic
+programs over the subsets of candidates, evaluated lazily and kept per
+profile (:class:`PivotCalculator`).  Single events are listed on request.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from .elections import (
     BallotProfile,
@@ -59,10 +56,12 @@ __all__ = [
     "sweep_reports",
 ]
 
-# Largest kappa the event table is built for: at kappa=7 it holds 17,377,920
-# events and took 31-44 s and 1.2 GB peak RSS to build on one 2-core x86 host;
-# kappa=8 would hold about a billion.  ROADMAP item 4 replaces the table with
-# a DP that reaches further.
+# Largest kappa a report is computed for.  Memory does not set it: the subset
+# DP keeps O(kappa**2 * 2**kappa) values, and a full-length kappa=7 power-law
+# sweep took 0.14 s at an 11 MB tracemalloc peak on one 2-core x86 host.  A
+# kappa=8 sweep (40,320 ballots) took 2.2 s there, 1.2 s of it the totals table,
+# at a 170 MB peak.  The cap moves once the benchmark records sweeps at kappa=8
+# and kappa=9.
 MAX_KAPPA = 7
 
 
@@ -70,7 +69,7 @@ def _check_reach(kappa: int) -> None:
     if kappa > MAX_KAPPA:
         raise ValueError(
             f"pivot events are enumerated for at most {MAX_KAPPA} candidates, got "
-            f"kappa={kappa}; larger elections await the subset DP of ROADMAP item 4"
+            f"kappa={kappa}; a larger cap awaits measured sweeps beyond it"
         )
 
 
@@ -198,126 +197,42 @@ def enumerate_alternates(
     return out
 
 
-class _EventTable(NamedTuple):
-    """The events of one kappa, shared by every calculator of that kappa.
-
-    ``orders`` are the kappa! elimination orders in :func:`permutations`
-    order, also as the rows of ``rows``.  ``events[c]`` holds four rows,
-    ``base, round_index, alternate, dropped``, with one column per event a
-    vote for candidate ``c`` can decide: orders by index, and ``dropped``
-    the bitmask of the base's rounds before ``round_index``.  The direct events
-    come first, one per order ``c`` wins, as saves in the final round
-    (``round_index = kappa - 1``): the base is that order with its last two
-    entries swapped, so the runner-up wins without the vote.  The indirect
-    events follow, one per alternate of :func:`enumerate_alternates` that
-    saves ``c``, in base order and then in the order of the alternates.  A
-    vote decides an event once every candidate ranked above ``c`` is in
-    ``dropped``, so a ``(candidate, set ranked above)`` key selects its
-    events by that mask.
-
-    Events share their arithmetic through orders.  A calculator keeps one
-    value per slot, each computed the first time an event reads it.  Slot
-    ``o * kappa`` holds :meth:`PivotCalculator._round_product` of order
-    ``o`` over rounds ``1..kappa-2``, its ``head``, and slot ``o * kappa +
-    r`` for ``r >= 1`` its product over rounds ``r+1..kappa-1``, the rounds
-    after a save in round ``r`` (1.0 for ``r = kappa - 1``).  One slot per
-    ``(dropped, opponent, candidate)`` follows, holding ``brk + mk``.  Per
-    event, ``slots[c]`` holds a column of four slots, ``head, final, tail,
-    tie``, and the event's probability is ``head * final * tail * 0.5 *
-    tie``, multiplied in that order.  For an indirect event they are the
-    base's head and final round (``head * final`` is bit for bit the base's
-    product over all its rounds), the alternate's rounds after the save and
-    the save's tie term; for a direct event, the alternate's head, 1.0, 1.0
-    and the final-round tie term.  Each product is thus the scalar path's,
-    and every event keeps its bits.
-    """
-
-    orders: list[tuple[int, ...]]
-    rows: np.ndarray
-    events: list[np.ndarray]
-    slots: list[np.ndarray]
-
-
-@functools.cache
-def _event_table(kappa: int) -> _EventTable:
-    _check_reach(kappa)
-    orders = list(permutations(range(kappa)))
-    rows = np.array(orders, dtype=np.int32).reshape(-1, kappa)
-    masks = np.zeros_like(rows)
-    np.cumsum(np.left_shift(1, rows[:, :-1]), axis=1, out=masks[:, 1:])
-    index = {order: i for i, order in enumerate(orders)}
-    groups: list[list[np.ndarray]] = [[] for _ in range(kappa)]
-    for o, order in enumerate(orders):
-        swapped = order[:-2] + order[:-3:-1]
-        groups[order[-1]].append(np.array([(index[swapped], kappa - 1, o, masks[o, -2])]))
-    for b, base in enumerate(orders):
-        for rnd in range(1, kappa - 1):
-            alts = enumerate_alternates(base, rnd)
-            saves = [(b, rnd, index[alt], masks[b, rnd - 1]) for alt, _, _ in alts]
-            groups[base[rnd - 1]].append(np.array(saves).reshape(-1, 4))
-    events = [np.ascontiguousarray(np.concatenate(g).T, dtype=np.int32) for g in groups]
-
-    ties = kappa * len(orders)
-    slots = []
-    for cand, e in enumerate(events):
-        base, rnd, alt, dropped = e
-        direct = rnd == kappa - 1
-        slots.append(np.array([
-            np.where(direct, alt, base) * kappa,
-            np.where(direct, alt * kappa + kappa - 1, base * kappa + kappa - 2),
-            alt * kappa + rnd,
-            ties + (dropped * kappa + rows[alt, rnd - 1]) * kappa + cand,
-        ], dtype=np.int32))
-    return _EventTable(orders, rows, events, slots)
-
-
-def _partials(values: list[float]) -> list[float]:
-    """A short list of floats with the exact sum of ``values``.
-
-    Each entry is the rounded remainder the entries before it leave.  A
-    remainder is a multiple of 2**-1074, so it rounds to 0.0 only once it
-    is exactly 0.  ``math.fsum`` is correctly rounded, so any list that
-    holds these in place of ``values`` sums to the same bits.  A sum of
-    zero is kept as the zero ``math.fsum`` gives, with its sign.
-    """
-    out: list[float] = []
-    while rest := math.fsum(values + [-p for p in out]):
-        out.append(rest)
-        if not math.isfinite(rest):
-            break
-    return out or [rest]
-
-
-class _KeyProbs(NamedTuple):
-    """The events a vote decides at one ``(candidate, set ranked above)``
-    key, as columns of the event table in report order, direct events
-    first, with their probabilities and the exact partials of each kind."""
-
-    picked: np.ndarray
-    probs: np.ndarray
-    direct_partials: list[float]
-    indirect_partials: list[float]
+def _mask(candidates) -> int:
+    return sum(1 << c for c in candidates)
 
 
 class PivotCalculator:
     """Scores a profile's pivotal events and sums them per ballot.
 
-    An event's probability depends only on the profile; the ballot only
-    decides which events count, through the ``(candidate, set ranked
-    above)`` key of each position.  So each distinct piece of arithmetic is
-    done once per calculator.  The expected totals after every set of drops
+    An elimination order's probability is a product of round factors, and
+    the factor of a round depends only on the set already dropped and the
+    candidate dropped now (:meth:`_loses`).  So every sum over orders is a
+    dynamic program over the subsets of candidates (Held & Karp, *J. SIAM*
+    1962), and a ballot only selects, through the ``(candidate, set ranked
+    above)`` key of each position, which of its terms count:
+
+    - :meth:`_prefix`: the orders in which a set is dropped first;
+    - :meth:`_wins`: the orders that end with a given winner;
+    - :meth:`_key`: per key, the direct and the indirect sum, or their
+      utility gains.
+
+    Every sum is computed the first time it is needed and kept.  A round
+    factor is not kept: it is multiplied again from the cached comparisons
+    each time a sum reads it, which is cheap and keeps one :meth:`beats`
+    lookup per use of a comparison, as the benchmark's ``pivotal.beats``
+    hit ratio counts them.  The expected totals after every set of drops
     are built up front as one table, ``T[dropped mask][candidate]``
     (:func:`elections.expected_total`).  The kernel is a function of two
     Poisson rates only, so :meth:`beats` and :meth:`tie_pair` cache it on
     the rate values: in symmetric profiles most comparisons share a pair.
-    The per-order folds and tie terms of :class:`_EventTable` are computed
-    the first time an event needs them, so a report evaluates only what its
-    ballot can reach, and the scalar path (:meth:`sequence_prob`) allocates
-    none of them.  Per key, the event probabilities are kept with their
-    exact partials (:func:`_partials`), and the utility gains' partials per
-    utility vector.  A report sums its keys' partials with ``math.fsum``,
-    which gives the correctly rounded sum of all its events, independent of
-    enumeration order, and builds event objects only when asked for them.
+    The DP reaches the kernel only through them.
+
+    A round factor multiplies its comparisons in ascending order of value
+    and every sum is a ``math.fsum``, so no result depends on candidate
+    labels: a relabeled profile gives the same bits.  The sums lie within
+    1e-15 relative of the ``math.fsum`` of the report's own events, which
+    are listed only when asked for, each from the scalar path
+    (:meth:`sequence_prob`), in a walk over the orders.
 
     Args:
         profile: Expected ballot counts.
@@ -342,14 +257,11 @@ class PivotCalculator:
         # Kernel results keyed on the two rates they are evaluated at.
         self._beats: dict[tuple[float, float], float] = {}
         self._ties: dict[tuple[float, float], tuple[float, float]] = {}
-        self._probs: dict[tuple[int, int], _KeyProbs] = {}
-        self._gains: dict[tuple[int, int, tuple[float, ...]], list[float]] = {}
-
-    @functools.cached_property
-    def _values(self) -> np.ndarray:
-        """The slots of :class:`_EventTable`; NaN marks a value not computed yet."""
-        k = self.profile.kappa
-        return np.full(k * math.factorial(k) + (k * k << k), np.nan)
+        # DP values, each keyed on its arguments.
+        self._prefixes: dict[int, float] = {0: 1.0}
+        self._winners: dict[tuple[int, int], float] = {}
+        self._saves: dict[tuple, tuple[float, ...]] = {}
+        self._keys: dict[tuple, tuple[float, float]] = {}
 
     # -- cached primitives -------------------------------------------------
 
@@ -380,7 +292,7 @@ class PivotCalculator:
         """Product over rounds ``first..last`` (1-based) of "every later
         candidate beats the one dropped now", at that round's totals."""
         val = 1.0
-        dropped = sum(1 << c for c in order[: first - 1])
+        dropped = _mask(order[: first - 1])
         for rnd in range(first, last + 1):
             loser = order[rnd - 1]
             for survivor in order[rnd:]:
@@ -399,62 +311,131 @@ class PivotCalculator:
         """
         return self._round_product(order, 1, len(order) - 1 if full else len(order) - 2)
 
-    # -- events of one key -------------------------------------------------
+    # -- sums over orders --------------------------------------------------
 
-    def _slot_values(self, slots: np.ndarray) -> np.ndarray:
-        """The values at ``slots``, each computed the first time it is read."""
-        vals = self._values[slots]
-        missing = np.isnan(vals)
-        if missing.any():
-            k = self.profile.kappa
-            orders = _event_table(k).orders
-            ties = k * len(orders)
-            for slot in np.unique(slots[missing]).tolist():
-                if slot < ties:
-                    o, r = divmod(slot, k)
-                    val = self._round_product(orders[o], r + 1 if r else 1, k - 1 if r else k - 2)
-                else:
-                    dropped, pair = divmod(slot - ties, k * k)
-                    brk, mk = self.tie_pair(pair % k, pair // k, dropped)
-                    val = brk + mk
-                self._values[slot] = val
-            vals = self._values[slots]
-        return vals
+    def _loses(self, dropped: int, loser: int) -> float:
+        """The round factor: every candidate standing after the drops in
+        ``dropped`` beats ``loser``, multiplied in ascending order."""
+        gone = dropped | 1 << loser
+        return math.prod(sorted(
+            self.beats(s, loser, dropped) for s in range(self.profile.kappa) if not gone >> s & 1
+        ))
 
-    def _key_probs(self, cand: int, above: int) -> _KeyProbs:
-        """The key's direct and indirect event probabilities and their partials."""
-        probs = self._probs.get((cand, above))
-        if probs is None:
-            table = _event_table(self.profile.kappa)
-            picked = np.flatnonzero(table.events[cand][3] & above == above)
-            head, final, tail, tie = self._slot_values(table.slots[cand][:, picked])
-            p = head * final * tail * 0.5 * tie
-            # Direct events come first in a candidate's columns.
-            n = np.searchsorted(picked, math.factorial(self.profile.kappa - 1))
-            probs = self._probs[cand, above] = _KeyProbs(
-                picked, p, _partials(p[:n].tolist()), _partials(p[n:].tolist())
+    def _prefix(self, dropped: int) -> float:
+        """Summed probability of the orders that drop the candidates in
+        ``dropped`` first, in any order among themselves."""
+        val = self._prefixes.get(dropped)
+        if val is None:
+            val = self._prefixes[dropped] = math.fsum(
+                self._prefix(dropped ^ 1 << last) * self._loses(dropped ^ 1 << last, last)
+                for last in range(self.profile.kappa) if dropped >> last & 1
             )
-        return probs
+        return val
 
-    def _swings(self, events: np.ndarray, u: tuple[float, ...]) -> np.ndarray:
-        """Per event of ``events``, columns of the event table, the utility
-        the added vote gains, ``u[new winner] - u[old winner]``:
-        ``u[candidate] - u[runner_up]`` for a direct event."""
-        winner = _event_table(self.profile.kappa).rows[:, -1]
-        u = np.array(u)
-        return u[winner[events[2]]] - u[winner[events[0]]]
+    def _wins(self, winner: int, dropped: int) -> float:
+        """Summed probability of the orders that, after the drops in
+        ``dropped``, drop every other standing candidate before ``winner``."""
+        val = self._winners.get((winner, dropped))
+        if val is None:
+            rest = [
+                c for c in range(self.profile.kappa)
+                if c != winner and not dropped >> c & 1
+            ]
+            val = self._winners[winner, dropped] = math.fsum(
+                self._loses(dropped, c) * self._wins(winner, dropped | 1 << c) for c in rest
+            ) if rest else 1.0
+        return val
 
-    def _gain_partials(self, cand: int, above: int, u: tuple[float, ...]) -> list[float]:
-        """Partials of the key's utility gains, ``probability * swing`` per event."""
-        parts = self._gains.get((cand, above, u))
-        if parts is None:
-            probs = self._key_probs(cand, above)
-            events = _event_table(self.profile.kappa).events[cand][:, probs.picked]
-            gains = probs.probs * self._swings(events, u)
-            parts = self._gains[cand, above, u] = _partials(gains.tolist())
-        return parts
+    def _saves_at(self, cand: int, dropped: int, u: tuple[float, ...] | None) -> tuple[float, ...]:
+        """The indirect events in which ``cand`` would be dropped right
+        after the drops in ``dropped`` and the added vote saves it, summed
+        per displaced candidate ``d``; with ``u``, their utility gains.
+
+        Base orders drop ``dropped``, then ``cand``, then the rest with
+        winner ``w``; alternates drop ``d`` in place of ``cand``, then the
+        rest with winner ``v``, neither ``w`` nor ``cand``.
+        """
+        val = self._saves.get((cand, dropped, u))
+        if val is None:
+            lost = dropped | 1 << cand
+            later = [c for c in range(self.profile.kappa) if not lost >> c & 1]
+            head = self._prefix(dropped) * self._loses(dropped, cand)
+            base = [self._wins(w, lost) for w in later]
+            terms = []
+            for d in later:
+                brk, mk = self.tie_pair(cand, d, dropped)
+                saved = dropped | 1 << d
+                tails = math.fsum(
+                    p * self._wins(v, saved) * (1.0 if u is None else u[v] - u[w])
+                    for w, p in zip(later, base) for v in later if v != d and v != w
+                )
+                terms.append(head * tails * 0.5 * (brk + mk))
+            val = self._saves[cand, dropped, u] = tuple(terms)
+        return val
+
+    def _key(self, cand: int, above: int, u: tuple[float, ...] | None) -> tuple[float, float]:
+        """The direct and indirect sums of the events a vote for ``cand``
+        decides once every candidate in ``above`` is dropped; with ``u``,
+        their utility gains."""
+        val = self._keys.get((cand, above, u))
+        if val is None:
+            kappa = self.profile.kappa
+            full = (1 << kappa) - 1
+            direct = []
+            for j in range(kappa):
+                if j != cand and not above >> j & 1:
+                    dropped = full ^ 1 << cand ^ 1 << j
+                    brk, mk = self.tie_pair(cand, j, dropped)
+                    swing = 1.0 if u is None else u[cand] - u[j]
+                    direct.append(self._prefix(dropped) * 0.5 * (brk + mk) * swing)
+            # Saves before the final round, at every superset of `above`.
+            indirect = []
+            rest = full ^ above ^ 1 << cand
+            sub = rest
+            while True:
+                dropped = above | sub
+                if dropped.bit_count() <= kappa - 3:
+                    indirect += self._saves_at(cand, dropped, u)
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+            val = self._keys[cand, above, u] = (math.fsum(direct), math.fsum(indirect))
+        return val
 
     # -- events and reports ------------------------------------------------
+
+    def _events(self, ballot: Ranking, u: tuple[float, ...] | None) -> list:
+        """The ballot's events, direct ones first, each by position, then
+        in order of its elimination order, with the scalar path's bits."""
+        kappa = self.profile.kappa
+        direct, indirect = [], []
+        above = 0
+        for pos, cand in enumerate(ballot, start=1):
+            for drops in drop_lists(kappa, cand):
+                dropped = _mask(drops[:-1])
+                if above & ~dropped:
+                    continue
+                opp = drops[-1]
+                brk, mk = self.tie_pair(cand, opp, dropped)
+                prob = self.sequence_prob(drops + (cand,), full=False) * 0.5 * (brk + mk)
+                swing = None if u is None else u[cand] - u[opp]
+                direct.append(DirectEvent(pos, cand, drops, opp, prob, swing))
+            for base in permutations(range(kappa)):
+                rnd = base.index(cand) + 1
+                dropped = _mask(base[: rnd - 1])
+                if rnd > kappa - 2 or above & ~dropped:
+                    continue
+                p_base = self.sequence_prob(base, full=True)
+                for alt, displaced, suffix in enumerate_alternates(base, rnd):
+                    brk, mk = self.tie_pair(cand, displaced, dropped)
+                    tail = self._round_product(alt, rnd + 1, kappa - 1)
+                    prob = p_base * tail * 0.5 * (brk + mk)
+                    swing = None if u is None else u[alt[-1]] - u[base[-1]]
+                    indirect.append(IndirectEvent(
+                        pos, cand, base, rnd, alt, displaced, suffix, prob, swing
+                    ))
+            above |= 1 << cand
+        return direct + indirect
 
     def report(
         self,
@@ -462,32 +443,17 @@ class PivotCalculator:
         utilities: Sequence[float] | Mapping[int, float] | None = None,
         with_events: bool = False,
     ) -> PivotReport:
+        _check_reach(self.profile.kappa)
         ballot = _check_ballot(self.profile, ballot)
         u = None if utilities is None else _utility_vector(self.profile.kappa, utilities)
-        direct, indirect, gains, direct_ev, indirect_ev = [], [], [], [], []
+        direct, indirect, gains = [], [], []
         above = 0
-        for pos, cand in enumerate(ballot, start=1):
-            probs = self._key_probs(cand, above)
-            direct += probs.direct_partials
-            indirect += probs.indirect_partials
+        for cand in ballot:
+            d, i = self._key(cand, above, None)
+            direct.append(d)
+            indirect.append(i)
             if u is not None:
-                gains += self._gain_partials(cand, above, u)
-            if with_events:
-                table = _event_table(self.profile.kappa)
-                events = table.events[cand][:, probs.picked]
-                swings = [None] * len(probs.picked)
-                if u is not None:
-                    swings = self._swings(events, u).tolist()
-                orders = table.orders
-                rows = zip(*events[:3].tolist(), probs.probs.tolist(), swings)
-                for b, rnd, a, prob, swing in rows:
-                    alt = orders[a]
-                    if rnd == len(alt) - 1:
-                        direct_ev.append(DirectEvent(pos, cand, alt[:-1], alt[-2], prob, swing))
-                    else:
-                        indirect_ev.append(IndirectEvent(
-                            pos, cand, orders[b], rnd, alt, alt[rnd - 1], alt[rnd:], prob, swing
-                        ))
+                gains += self._key(cand, above, u)
             above |= 1 << cand
         p_direct = math.fsum(direct)
         p_indirect = math.fsum(indirect)
@@ -497,7 +463,7 @@ class PivotCalculator:
             p_indirect=p_indirect,
             p_total=p_direct + p_indirect,
             expected_utility=None if u is None else math.fsum(gains),
-            events=direct_ev + indirect_ev if with_events else None,
+            events=self._events(ballot, u) if with_events else None,
         )
 
 

@@ -8,12 +8,14 @@ fails here rather than in a traced benchmark run.
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from irvpivot import experiment
-from irvpivot.experiment import POWERLAW, ExperimentConfig, run_experiment
+from irvpivot import experiment, pivotal
+from irvpivot.experiment import POWERLAW, ExperimentConfig, gen_powerlaw_profile, run_experiment
+from irvpivot.pivotal import PivotCalculator, sweep_reports, total_pivot_prob
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -53,3 +55,36 @@ def test_experiment_scores_each_candidate_through_its_smdp_name(monkeypatch):
     per_run = [(kappa, c) for kappa in (3, 4, 5) for c in range(kappa)]
     assert len(per_run) == 12
     assert calls == per_run * 2
+
+
+def test_pivot_kernel_calls_happen_inside_the_lookups(monkeypatch):
+    # The tracer counts a lookup of PivotCalculator.beats or .tie_pair as a
+    # miss when a kernel call happens inside it.  A kernel call made from
+    # anywhere else would leave its hit ratio reading nonsense.
+    lookup_of = {"prob_strictly_greater": "beats", "skellam_pmf": "beats", "tie_terms": "tie_pair"}
+    depth = Counter()
+    calls = Counter()
+
+    def lookup(method, fn):
+        def wrapper(*args, **kwargs):
+            depth[method] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[method] -= 1
+        return wrapper
+
+    def kernel(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name, depth[lookup_of[name]] > 0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for method in ("beats", "tie_pair"):
+        monkeypatch.setattr(PivotCalculator, method, lookup(method, getattr(PivotCalculator, method)))
+    for name in lookup_of:
+        monkeypatch.setattr(pivotal, name, kernel(name, getattr(pivotal, name)))
+    total_pivot_prob(gen_powerlaw_profile(4, 1000.0, seed=3), (2, 0))
+    sweep_reports(gen_powerlaw_profile(5, 1000.0, seed=0), sequence_ties=True)
+    assert {name for name, inside in calls if not inside} == set()
+    assert all(calls[name, True] > 0 for name in lookup_of)

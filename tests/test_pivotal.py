@@ -1,5 +1,6 @@
 """Pivotality engine: enumeration, probabilities, utilities, best ballot."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -50,6 +51,31 @@ def indirect_part(prof, ballot):
     return rep.p_indirect, [e for e in rep.events if isinstance(e, IndirectEvent)]
 
 
+SUMS = ("p_direct", "p_indirect", "p_total", "expected_utility")
+
+
+def event_sums(rep):
+    """``(p_direct, p_indirect, p_total, expected_utility)`` of a report
+    listed with its events, each a ``math.fsum`` over those events."""
+    direct = math.fsum(e.probability for e in rep.events if isinstance(e, DirectEvent))
+    indirect = math.fsum(e.probability for e in rep.events if isinstance(e, IndirectEvent))
+    gains = None
+    if rep.expected_utility is not None:
+        gains = math.fsum(e.probability * e.utility_swing for e in rep.events)
+    return direct, indirect, direct + indirect, gains
+
+
+def assert_sums_match_events(rep):
+    """The output contract: a report's sums lie within 1e-15 relative of the
+    fsums of its own events, its utility within 1e-15 of sum |p * swing|."""
+    direct, indirect, _, gains = event_sums(rep)
+    assert math.isclose(rep.p_direct, direct, rel_tol=1e-15, abs_tol=0.0)
+    assert math.isclose(rep.p_indirect, indirect, rel_tol=1e-15, abs_tol=0.0)
+    if gains is not None:
+        scale = math.fsum(abs(e.probability * e.utility_swing) for e in rep.events)
+        assert abs(rep.expected_utility - gains) <= 1e-15 * scale
+
+
 # -- drop sequences ----------------------------------------------------------
 
 
@@ -84,8 +110,8 @@ def test_drop_sequence_prob_rejects_partial_orders():
 
 
 def test_scalar_path_allocates_no_report_state():
-    # The calculator's report slots (kappa * kappa! + kappa**2 * 2**kappa
-    # floats, 26 MB at kappa=9) are allocated by the first report only.
+    # The scalar path reads the totals table and the kernel only: it keeps no
+    # DP state and works past MAX_KAPPA.
     order = tuple(range(9))
     prof = BallotProfile(9, {order: 50.0, order[::-1]: 45.0, (4, 0): 30.0})
     tracemalloc.start()
@@ -97,16 +123,29 @@ def test_scalar_path_allocates_no_report_state():
     assert peak < 2 * 2**20
 
 
-def test_event_table_refuses_kappa_beyond_its_reach():
-    built = pivotal._event_table.cache_info().currsize
-    with pytest.raises(ValueError, match=f"at most {pivotal.MAX_KAPPA} .*ROADMAP item 4"):
-        pivotal._event_table(pivotal.MAX_KAPPA + 1)
+def test_reports_refuse_kappa_beyond_the_cap(kernel_calls):
     prof = BallotProfile(8, {(0, 1): 10.0, (7,): 9.0}, max_length=2)
-    with pytest.raises(ValueError, match="kappa=8"):
+    message = f"at most {pivotal.MAX_KAPPA} candidates, got kappa=8"
+    with pytest.raises(ValueError, match=message):
+        PivotCalculator(prof).report((0,))
+    with pytest.raises(ValueError, match=message):
         sweep_reports(prof)
-    with pytest.raises(ValueError, match="kappa=8"):
+    with pytest.raises(ValueError, match=message):
         total_pivot_prob(prof, (0,))
-    assert pivotal._event_table.cache_info().currsize == built
+    assert kernel_calls == {"psg": 0, "tie": 0}
+
+
+def test_kappa7_sweep_memory():
+    # The per-kappa event table this DP replaced took 1.18 GB at kappa=7.
+    prof = gen_powerlaw_profile(7, 1000.0, seed=0)
+    tracemalloc.start()
+    try:
+        reports = sweep_reports(prof, full_length_only=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == math.factorial(7)
+    assert peak < 64 * 2**20
 
 
 # -- direct pivotality -------------------------------------------------------
@@ -457,7 +496,8 @@ PINNED_PROFILES = {
 PINNED_UTILITIES = (1.0, 0.25, 0.6, 0.0, 0.8)
 # (profile, sequence_ties, ballot, p_direct, p_indirect, p_total, expected_utility),
 # recorded from the windowed-series kernel, which P(X > Y) still uses below
-# skellam._CLOSED_FORM_FLOOR.
+# skellam._CLOSED_FORM_FLOOR, and from the engine that summed each report's
+# events: each value is the math.fsum of the report's events (event_sums).
 PINNED = [
     ('k3', False, (0,), 0.0190867149956501, 0.010521061874495648, 0.02960777687014575, 0.00904979452042747),
     ('k3', False, (1, 2), 0.030706559992753818, 0.0058903575199200035, 0.03659691751267382, -0.013077654140170628),
@@ -476,23 +516,24 @@ PINNED = [
 ]
 
 
-# The same reports, recorded from the closed-form kernel (chndtr for every
-# P(X > Y) of at least 1e-10); each value is within 1e-12 relative of PINNED.
+# The same reports from the closed-form kernel (chndtr for every P(X > Y) of at
+# least 1e-10), recorded from the subset DP; each value is within 1e-12
+# relative of PINNED.
 PINNED_CLOSED_FORM = {
-    ('k3', False, (0,)): (0.019086714995650032, 0.010521061874495655, 0.029607776870145687, 0.009049794520427446),
-    ('k3', False, (1, 2)): (0.030706559992753804, 0.005890357519919934, 0.036596917512673736, -0.013077654140170644),
-    ('k3', False, (2, 0, 1)): (0.03088996832304855, 0.0018941254045325966, 0.03278409372758115, 0.003457349124870256),
+    ('k3', False, (0,)): (0.019086714995650032, 0.010521061874495655, 0.029607776870145687, 0.009049794520427444),
+    ('k3', False, (1, 2)): (0.030706559992753804, 0.005890357519919933, 0.036596917512673736, -0.013077654140170644),
+    ('k3', False, (2, 0, 1)): (0.03088996832304855, 0.0018941254045325962, 0.03278409372758115, 0.0034573491248702554),
     ('k4', False, (3,)): (0.014020246695258327, 0.0009744792096892834, 0.01499472590494761, -0.009273265410116369),
-    ('k4', False, (0, 2)): (0.01583376430573003, 0.010733935042276153, 0.02656769934800618, 0.012382732452561157),
-    ('k4', False, (1, 3, 0, 2)): (0.0161785476962292, 0.012105862553703467, 0.028284410249932668, -0.005767157704722944),
-    ('k4', True, (0, 2)): (0.018315300418551006, 0.013891527935437426, 0.03220682835398843, 0.01433041156715515),
-    ('k4', True, (1, 3, 0, 2)): (0.018839527934235222, 0.015948200478281698, 0.03478772841251692, -0.00633942564473189),
-    ('k5', False, (4,)): (0.0030611077448908625, 0.00234452928527381, 0.0054056370301646724, 0.001437210615016579),
-    ('k5', False, (2, 0, 3)): (0.003755313234881836, 0.003722923467595439, 0.007478236702477275, -0.0002223076149712307),
-    ('k5', False, (0, 1, 2, 3, 4)): (0.005695177950401631, 0.007578042959168752, 0.013273220909570383, -0.0019737127484961564),
-    ('k5', True, (3, 1)): (0.006501470129616468, 0.007424562306806501, 0.013926032436422969, -0.0036700876693743),
-    ('k4L2', False, (2,)): (0.006182011664763011, 0.0035830437914415878, 0.0097650554562046, 0.0014031268098000046),
-    ('k4L2', False, (1, 3)): (0.0076896551594523065, 0.010817153015390893, 0.0185068081748432, -0.004999257518350469),
+    ('k4', False, (0, 2)): (0.01583376430573003, 0.010733935042276155, 0.026567699348006183, 0.01238273245256116),
+    ('k4', False, (1, 3, 0, 2)): (0.0161785476962292, 0.012105862553703467, 0.028284410249932668, -0.005767157704722943),
+    ('k4', True, (0, 2)): (0.018315300418551006, 0.013891527935437424, 0.03220682835398843, 0.014330411567155152),
+    ('k4', True, (1, 3, 0, 2)): (0.018839527934235222, 0.015948200478281698, 0.03478772841251692, -0.006339425644731891),
+    ('k5', False, (4,)): (0.0030611077448908625, 0.0023445292852738095, 0.0054056370301646724, 0.0014372106150165793),
+    ('k5', False, (2, 0, 3)): (0.0037553132348818355, 0.0037229234675954384, 0.0074782367024772735, -0.0002223076149712306),
+    ('k5', False, (0, 1, 2, 3, 4)): (0.00569517795040163, 0.0075780429591687515, 0.013273220909570381, -0.001973712748496156),
+    ('k5', True, (3, 1)): (0.006501470129616467, 0.0074245623068065, 0.013926032436422969, -0.0036700876693742993),
+    ('k4L2', False, (2,)): (0.006182011664763011, 0.0035830437914415878, 0.0097650554562046, 0.0014031268098000042),
+    ('k4L2', False, (1, 3)): (0.0076896551594523065, 0.010817153015390893, 0.0185068081748432, -0.00499925751835047),
 }
 
 
@@ -500,8 +541,7 @@ PINNED_CLOSED_FORM = {
 def test_report_pinned_values(
     name, sequence_ties, ballot, p_direct, p_indirect, p_total, eu, monkeypatch
 ):
-    # Recorded from the engine that scored every event once per ballot; any
-    # change to the event arithmetic, the summation or the kernel shows up here.
+    # Any change to the DP's arithmetic, its summation or the kernel shows up here.
     prof = PINNED_PROFILES[name]()
     u = PINNED_UTILITIES[: prof.kappa]
     want = PINNED_CLOSED_FORM[name, sequence_ties, ballot]
@@ -515,10 +555,12 @@ def test_report_pinned_values(
         warm.report(other)
     again = warm.report(ballot, u)
     assert (again.p_direct, again.p_indirect, again.p_total, again.expected_utility) == want
-    # With the closed form switched off, the series kernel's bits come back.
+    # With the closed form switched off, the series kernel's bits come back
+    # in the events, and the report's sums lie within the contract of them.
     monkeypatch.setattr(skellam, "_CLOSED_FORM_FLOOR", math.inf)
-    rep = PivotCalculator(prof, sequence_ties=sequence_ties).report(ballot, u)
-    assert (rep.p_direct, rep.p_indirect, rep.p_total, rep.expected_utility) == series
+    rep = PivotCalculator(prof, sequence_ties=sequence_ties).report(ballot, u, with_events=True)
+    assert event_sums(rep) == series
+    assert_sums_match_events(rep)
 
 
 def test_expected_utility_cached_per_utility_vector():
@@ -539,12 +581,8 @@ def test_event_list_agrees_with_report_sums(name, sequence_ties, ballot):
     calc = PivotCalculator(prof, sequence_ties=sequence_ties)
     u = PINNED_UTILITIES[: prof.kappa]
     rep = calc.report(ballot, u, with_events=True)
-    direct = [e for e in rep.events if isinstance(e, DirectEvent)]
-    indirect = [e for e in rep.events if isinstance(e, IndirectEvent)]
-    assert len(direct) + len(indirect) == len(rep.events)
-    assert math.fsum(e.probability for e in direct) == rep.p_direct
-    assert math.fsum(e.probability for e in indirect) == rep.p_indirect
-    assert math.fsum(e.probability * e.utility_swing for e in rep.events) == rep.expected_utility
+    assert all(isinstance(e, (DirectEvent, IndirectEvent)) for e in rep.events)
+    assert_sums_match_events(rep)
     # A warm calculator lists the same events with the same bits.
     assert calc.report(ballot, u, with_events=True).events == rep.events
     assert calc.report(ballot).events is None
@@ -553,7 +591,8 @@ def test_event_list_agrees_with_report_sums(name, sequence_ties, ballot):
 # sha256 of each report's JSON with its events, ``json.dumps(report.to_dict(True))``,
 # recorded from the per-key index-plan engine with the windowed-series kernel:
 # (kappa, ballot, sequence_ties, with utilities, digest).  The event order is
-# part of the report JSON.
+# part of the report JSON.  That engine reported the fsums of the events, so
+# the digests hold for the JSON with event_sums in place of the report's sums.
 EVENT_JSON = [
     (2, (0,), False, False, "018fbae92441934e1422e136f9ef2fc308fdd192d07e01cde3903629dbb3c75a"),
     (2, (1, 0), True, True, "a7c055608e4d91804f2d7aa23664d3e73d1455af46e957dedc9ea48b2400ca3d"),
@@ -568,18 +607,18 @@ EVENT_JSON = [
 ]
 
 
-# The same digests, recorded from the closed-form kernel (chndtr for every
-# P(X > Y) of at least 1e-10), keyed by (kappa, ballot).  At kappa = 2 no
-# comparison reaches the kernel, so those two are unchanged.
+# The report JSON itself from the closed-form kernel (chndtr for every
+# P(X > Y) of at least 1e-10), keyed by (kappa, ballot), recorded from the
+# subset DP.  At kappa = 2 no comparison reaches the kernel.
 EVENT_JSON_CLOSED_FORM = {
     (2, (0,)): "018fbae92441934e1422e136f9ef2fc308fdd192d07e01cde3903629dbb3c75a",
     (2, (1, 0)): "a7c055608e4d91804f2d7aa23664d3e73d1455af46e957dedc9ea48b2400ca3d",
     (3, (0,)): "2f90ee527a06707b1f10ba0118c7c0334187eb5b6e7e5e371fab967c458581a8",
     (3, (2, 0, 1)): "eed4aa17ce85166b7fa631e146ea81c37128d0604f882b30a8c04395b2fa2bc2",
     (4, (1, 3)): "cc4d743c88a58c4d30f6953cb79cf472ee6563e8f8ab45e345e9f55f3323bd02",
-    (4, (3, 0, 2, 1)): "fd561a469e8a4b6ce0a66da5762747f03f5fee870d1678f81f348c3d0bdc2d46",
-    (5, (4,)): "be1ebf3de2b18a5d59fed5c261d723e516c633fe03de7b8c12dba48d21b6df80",
-    (5, (0, 2, 1)): "3a5b7ee7c715bc6ed8ef2f5837b8dcbb268ab4ea47d37740dce4e729f51cafde",
+    (4, (3, 0, 2, 1)): "95e2862a0c1935ca116e5e0e696cc3222ecae5c0a106330205db00974696e21a",
+    (5, (4,)): "84bda7ce6cdf332ed45293d135619513f2671a8a837ee5997f0c20ffd5291d36",
+    (5, (0, 2, 1)): "d9fe2e3f31411c289afd76115b087f23f3be28fb9c2cf9ecaf65d49496d47c18",
     (6, (5, 0)): "247d1acc3dedb085e76c14ab7062128268618d9aceedfc160174037fbe5ec71e",
     (6, (2, 4, 1, 0, 3, 5)): "5309535cf37876059ac4d20d554f73de41be324045a7af0a174ff1728a07780d",
 }
@@ -590,15 +629,18 @@ def test_event_json_pinned(kappa, ballot, sequence_ties, with_utilities, digest,
     prof = dirichlet_profile(kappa, 30.0 * kappa, seed=kappa)
     u = (1.0, 0.25, 0.6, 0.0, 0.8, -0.5)[:kappa] if with_utilities else None
 
-    def report_digest():
-        calc = PivotCalculator(prof, sequence_ties=sequence_ties)
-        rep = calc.report(ballot, u, with_events=True)
+    def report():
+        return PivotCalculator(prof, sequence_ties=sequence_ties).report(ballot, u, with_events=True)
+
+    def sha(rep):
         return hashlib.sha256(json.dumps(rep.to_dict(with_events=True)).encode()).hexdigest()
 
-    assert report_digest() == EVENT_JSON_CLOSED_FORM[kappa, ballot]
+    assert sha(report()) == EVENT_JSON_CLOSED_FORM[kappa, ballot]
     # With the closed form switched off, the series kernel's bits come back.
     monkeypatch.setattr(skellam, "_CLOSED_FORM_FLOOR", math.inf)
-    assert report_digest() == digest
+    rep = report()
+    assert sha(dataclasses.replace(rep, **dict(zip(SUMS, event_sums(rep))))) == digest
+    assert_sums_match_events(rep)
 
 
 @settings(max_examples=30, deadline=None)
@@ -642,6 +684,35 @@ def test_event_probabilities_match_scalar_arithmetic(kappa, seed, truncated, seq
                 * (brk + mk)
             )
         assert ev.probability == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kappa=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+    truncated=st.booleans(),
+    sequence_ties=st.booleans(),
+    pick=st.integers(0, 10**6),
+)
+@example(kappa=6, seed=6, truncated=True, sequence_ties=True, pick=1000)
+def test_report_sums_agree_with_their_events(kappa, seed, truncated, sequence_ties, pick):
+    # The DP sums its events in another order and association than listing
+    # them does, so it agrees with their fsums within the output contract.
+    # Relabeling the candidates gives the same bits.
+    max_length = kappa - 1 if truncated else kappa
+    rankings = admissible_rankings(kappa, max_length)
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(4.0 * np.ones(len(rankings)))
+    prof = BallotProfile(kappa, dict(zip(rankings, 20.0 * kappa * w)), max_length=max_length)
+    u = tuple(rng.normal(size=kappa).tolist())
+    ballot = rankings[pick % len(rankings)]
+    rep = PivotCalculator(prof, sequence_ties=sequence_ties).report(ballot, u, with_events=True)
+    assert_sums_match_events(rep)
+    perm = rng.permutation(kappa).tolist()
+    relabeled = PivotCalculator(prof.relabeled(perm), sequence_ties=sequence_ties).report(
+        tuple(perm[c] for c in ballot), {perm[c]: u[c] for c in range(kappa)}
+    )
+    assert [getattr(relabeled, f) for f in SUMS] == [getattr(rep, f) for f in SUMS]
 
 
 # Kernel calls of one report on a fresh calculator, per ballot length
@@ -701,28 +772,3 @@ def test_sweep_kernel_work_per_distinct_rate_pair(name, kernel_calls):
         sweep_reports(make(kappa), full_length_only=True)
         got.append((kernel_calls["psg"], kernel_calls["tie"]))
     assert got == want
-
-
-_float = st.one_of(
-    st.floats(-1e300, 1e300),
-    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 990)),
-    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1.0, -1.0]),
-)
-# Half of the values come with a near-negation: large cancellations.
-_summands = st.lists(_float, max_size=12).map(
-    lambda xs: xs + [-x * (1.0 + 2.0**-52) for x in xs[::2]]
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_summands, max_size=6))
-@example([[1e300, 1.0, -1e300], [5e-324, 1e-300, -1e-300], [0.1] * 10])
-@example([[2.0**-1074] * 3, [-(2.0**-1073)], [2.0**53, 1.0, 1.0 - 2.0**-53]])
-def test_partials_keep_the_exact_sum(lists):
-    # A report sums per-key partials in place of the events themselves.
-    # math.fsum is correctly rounded, so this must give the same bits.
-    parts = [pivotal._partials(xs) for xs in lists]
-    flat = [x for xs in lists for x in xs]
-    want = math.fsum(flat)
-    got = math.fsum([p for ps in parts for p in ps])
-    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
