@@ -16,10 +16,17 @@ fixed window of 12 standard deviations plus 40 terms (:func:`_window`).
 window nor the closed form follows it (ROADMAP item 2(d)), so every value
 gives the same results.  The sums have no special-function edge cases
 and handle degenerate rates exactly.
+
+The pmf rows of one call share their work: ``gammaln`` runs once, on one
+grid of every count either variable takes, and X's log pmf once, over
+every shifted count ``w + m``; each ``w``'s row is a slice of that row plus
+Y's.  Every element sees the same operations on the same doubles as a
+per-row evaluation (``tests/reference.py``), so the values keep their bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +66,7 @@ _CLOSED_FORM_FLOOR = 1e-10
 
 def _check_rate(lam: float, name: str) -> float:
     lam = float(lam)
-    if not np.isfinite(lam) or lam < 0.0:
+    if not math.isfinite(lam) or lam < 0.0:
         raise ValueError(f"{name} must be a finite nonnegative rate, got {lam}")
     return lam
 
@@ -80,21 +87,27 @@ def _window(lo_center: float, hi_center: float, variance: float) -> tuple[int, i
     clamped at 0.  That leaves tail mass far below any ``tail_eps`` down to
     ~1e-30, so the window does not adapt to eps.
     """
-    half = 12.0 * np.sqrt(variance) + 40
-    return max(0, int(np.floor(lo_center - half))), int(np.ceil(hi_center + half))
+    half = 12.0 * math.sqrt(variance) + 40
+    return max(0, math.floor(lo_center - half)), math.ceil(hi_center + half)
 
 
 def _pmf_window(w: float, lam1: float, lam2: float) -> tuple[int, int]:
     """Index range of Y-values carrying the mass of the convolution at w."""
     # Peak of the summand over m: (m + w) * m ~= lam1 * lam2.
-    mstar = 0.5 * (-w + np.sqrt(w * w + 4.0 * lam1 * lam2))
+    mstar = 0.5 * (-w + math.sqrt(w * w + 4.0 * lam1 * lam2))
     lo, hi = _window(mstar, mstar, lam1 + lam2 + abs(w))
     lo = max(lo, int(-w))
     return lo, max(lo, hi)
 
 
 def _skellam_pmf_many(ws: np.ndarray, lam1: float, lam2: float) -> np.ndarray:
-    """Skellam pmf at every integer in ``ws`` (vectorized convolution)."""
+    """Skellam pmf at every integer in ``ws`` (vectorized convolution).
+
+    Each row sums P(X = w + m) P(Y = m) over one shared Y window ``lo..hi``.
+    One ``gammaln`` call covers every count X or Y takes, and X's log pmf
+    is evaluated once over ``min(ws) + lo .. max(ws) + hi``, so no count's
+    log pmf is computed twice.
+    """
     ws = np.asarray(ws, dtype=np.int64)
     if lam1 == 0.0 and lam2 == 0.0:
         return (ws == 0).astype(float)
@@ -105,12 +118,22 @@ def _skellam_pmf_many(ws: np.ndarray, lam1: float, lam2: float) -> np.ndarray:
         out = np.exp(_pois_logpmf(-ws.astype(float), lam2))
         return np.where(ws <= 0, out, 0.0)
 
-    lo, hi = _pmf_window(float(ws.min()), lam1, lam2)
-    lo2, hi2 = _pmf_window(float(ws.max()), lam1, lam2)
-    ms = np.arange(min(lo, lo2), max(hi, hi2) + 1, dtype=float)
-    logy = _pois_logpmf(ms, lam2)
-    # logs[i, j] = log P(X = w_i + m_j) + log P(Y = m_j)
-    logs = _pois_logpmf(ws[:, None] + ms[None, :], lam1) + logy[None, :]
+    wmin, wmax = int(ws.min()), int(ws.max())
+    lo, hi = _pmf_window(float(wmin), lam1, lam2)
+    lo2, hi2 = _pmf_window(float(wmax), lam1, lam2)
+    lo, hi = min(lo, lo2), max(hi, hi2)
+    width = hi - lo + 1
+    # Negative counts of X get gammaln(<= 0) = inf, so a log pmf of -inf.
+    base = lo + min(wmin, 0)
+    counts = np.arange(base, hi + max(wmax, 0) + 1, dtype=float)
+    lgam = gammaln(counts + 1.0)
+    ys = slice(lo - base, hi - base + 1)
+    xs = slice(wmin + lo - base, wmax + hi - base + 1)
+    logy = counts[ys] * np.log(lam2) - lam2 - lgam[ys]
+    logx = counts[xs] * np.log(lam1) - lam1 - lgam[xs]
+    # logs[i, j] = log P(X = w_i + m_j) + log P(Y = m_j); row i is a slice of logx.
+    logs = np.array([logx[k : k + width] for k in (ws - wmin).tolist()])
+    logs += logy
     mx = np.max(logs, axis=1, keepdims=True)
     mx = np.where(np.isfinite(mx), mx, 0.0)
     vals = np.exp(mx[:, 0]) * np.sum(np.exp(logs - mx), axis=1)

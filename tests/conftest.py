@@ -8,13 +8,20 @@ literal double sum over the joint pmf grid.
 
 from __future__ import annotations
 
+import os
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
 from irvpivot import BallotProfile
+
+# Subprocesses the tests start (the CLI, the demos, import checks) import the
+# package from this checkout too, with or without PYTHONPATH set.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def poisson_cap(lam: float, eps: float = 1e-13) -> int:

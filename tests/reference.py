@@ -5,9 +5,13 @@ sum an explicit finite window.  ``mpmath.nsum`` over [0, inf) is not used:
 it returned 1.5e-270 for P(X > Y) at rates (167, 667), where the truth is
 near 7.5e-75.
 
-The plurality reference scores each opponent's tie window on its own
-arrays, the loop :func:`irvpivot.smdp.smdp_pivot_prob` ran before it cut
-every window from one shared grid; the two must agree bit for bit.
+The double-precision Skellam reference evaluates each ``w``'s convolution
+row on its own arrays, with its own Poisson log pmf and truncation windows:
+the per-row formula :func:`irvpivot.skellam._skellam_pmf_many` used before
+it took every row from one log-gamma grid.  The plurality reference scores
+each opponent's tie window on its own arrays, the loop
+:func:`irvpivot.smdp.smdp_pivot_prob` ran before it cut every window from
+one shared grid.  Each must agree with the library bit for bit.
 
 The oracle reference replays the Monte-Carlo oracle's random streams and
 counts every draw twice, without and with the ballot, with the scalar
@@ -21,11 +25,10 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammaincc, gammaln
 
 from irvpivot import oracle
 from irvpivot.elections import RealizedElection, tabulate
-from irvpivot.skellam import _pois_logpmf, _window, tie_terms
 from irvpivot.smdp import first_choice_rates
 
 DIGITS = 40
@@ -82,6 +85,54 @@ def prob_strictly_greater(lam_a: float, lam_b: float) -> mpmath.mpf:
         return +total
 
 
+def pois_logpmf(ms: np.ndarray, lam: float) -> np.ndarray:
+    """Poisson(lam) log pmf at the counts ``ms``; lam == 0 is exact."""
+    if lam == 0.0:
+        return np.where(ms == 0, 0.0, -np.inf)
+    with np.errstate(divide="ignore"):
+        return ms * np.log(lam) - lam - gammaln(ms + 1.0)
+
+
+def window(lo_center: float, hi_center: float, variance: float) -> tuple[int, int]:
+    """The kernel's truncation rule: 12 standard deviations plus 40 terms
+    beyond either centre, clamped at count 0."""
+    half = 12.0 * np.sqrt(variance) + 40
+    return max(0, int(np.floor(lo_center - half))), int(np.ceil(hi_center + half))
+
+
+def pmf_window(w: float, lam1: float, lam2: float) -> tuple[int, int]:
+    """Y-values ``lo..hi`` kept in the Skellam convolution at w."""
+    mstar = 0.5 * (-w + np.sqrt(w * w + 4.0 * lam1 * lam2))
+    lo, hi = window(mstar, mstar, lam1 + lam2 + abs(w))
+    lo = max(lo, int(-w))
+    return lo, max(lo, hi)
+
+
+def skellam_pmf_many(ws, lam1: float, lam2: float) -> np.ndarray:
+    """P(X - Y = w) at every integer in ``ws``, one convolution row per w,
+    each with its own log-gamma evaluation."""
+    ws = np.asarray(ws, dtype=np.int64)
+    if lam1 == 0.0 and lam2 == 0.0:
+        return (ws == 0).astype(float)
+    if lam2 == 0.0:
+        out = np.exp(pois_logpmf(ws.astype(float), lam1))
+        return np.where(ws >= 0, out, 0.0)
+    if lam1 == 0.0:
+        out = np.exp(pois_logpmf(-ws.astype(float), lam2))
+        return np.where(ws <= 0, out, 0.0)
+
+    lo, hi = pmf_window(float(ws.min()), lam1, lam2)
+    lo2, hi2 = pmf_window(float(ws.max()), lam1, lam2)
+    ms = np.arange(min(lo, lo2), max(hi, hi2) + 1, dtype=float)
+    logy = pois_logpmf(ms, lam2)
+    # logs[i, j] = log P(X = w_i + m_j) + log P(Y = m_j)
+    logs = pois_logpmf(ws[:, None] + ms[None, :], lam1) + logy[None, :]
+    mx = np.max(logs, axis=1, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    vals = np.exp(mx[:, 0]) * np.sum(np.exp(logs - mx), axis=1)
+    return np.clip(vals, 0.0, 1.0)
+
+
 def smdp_pivot_prob(profile, candidate: int) -> float:
     """Exact plurality pivot probability, with fresh pmf and CDF arrays over
     each opponent's own window (two candidates take the head-to-head tie)."""
@@ -89,16 +140,16 @@ def smdp_pivot_prob(profile, candidate: int) -> float:
     lam_c = lams[candidate]
     others = [j for j in range(profile.kappa) if j != candidate]
     if len(others) == 1:
-        brk, mk = tie_terms(lam_c, lams[others[0]])
+        brk, mk = skellam_pmf_many([0, -1], lam_c, lams[others[0]]).tolist()
         return min(1.0, max(0.0, 0.5 * (brk + mk)))
     total = 0.0
     for j in others:
         lam_j = lams[j]
-        lo, hi = _window(min(lam_c, lam_j), max(lam_c, lam_j), max(lam_c, lam_j) + 1.0)
+        lo, hi = window(min(lam_c, lam_j), max(lam_c, lam_j), max(lam_c, lam_j) + 1.0)
         ms = np.arange(lo, hi + 1, dtype=float)
-        p_j = np.exp(_pois_logpmf(ms, lam_j))
-        p_c_eq = np.exp(_pois_logpmf(ms, lam_c))
-        p_c_behind = np.exp(_pois_logpmf(ms - 1.0, lam_c))
+        p_j = np.exp(pois_logpmf(ms, lam_j))
+        p_c_eq = np.exp(pois_logpmf(ms, lam_c))
+        p_c_behind = np.exp(pois_logpmf(ms - 1.0, lam_c))
         below = np.ones_like(ms)
         for k in others:
             if k == j:

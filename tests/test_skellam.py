@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import irvpivot.skellam
 from irvpivot import Tolerance, prob_strictly_greater, skellam_pmf, tie_terms
+from irvpivot.skellam import _skellam_pmf_many
 
 from conftest import conv_skellam_pmf, double_sum_gt
+import reference
 
 RATE_GRID = [0.0, 0.5, 1.0, 5.0, 50.0, 500.0]
 
@@ -153,3 +156,43 @@ def test_trichotomy_property(lam1, lam2):
         + skellam_pmf(0, lam1, lam2)
     )
     assert abs(total - 1.0) <= 4e-12
+
+
+RATES = st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_nan=False))
+W_SETS = st.one_of(
+    st.sampled_from([[0, -1], [-1], [1]]),
+    st.integers(-60, 60).map(lambda w: [w]),
+    st.lists(st.integers(-60, 60), min_size=2, max_size=5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam1=RATES, lam2=RATES, equal=st.booleans(), ws=W_SETS)
+@example(lam1=5.0, lam2=7.0, equal=False, ws=[0, -1])
+@example(lam1=100.0, lam2=600.0, equal=False, ws=[0, -1])
+@example(lam1=1e4, lam2=1.05e4, equal=False, ws=[0, -1])
+def test_pmf_rows_match_per_row_reference(lam1, lam2, equal, ws):
+    # The shared log-gamma grid does the per-row formula's arithmetic on the
+    # same doubles, so every value keeps its bits.
+    if equal:
+        lam2 = lam1
+    got = _skellam_pmf_many(np.array(ws), lam1, lam2)
+    assert got.tobytes() == reference.skellam_pmf_many(ws, lam1, lam2).tobytes()
+
+
+@pytest.mark.parametrize("lam1, lam2", [(5.0, 7.0), (100.0, 600.0), (1e4, 1.05e4), (0.3, 2e5)])
+def test_one_log_gamma_grid_per_call(monkeypatch, lam1, lam2):
+    # Evaluating each variable's log pmf on its own would take two gammaln
+    # calls over three windows' worth of counts.
+    sizes = []
+    real = irvpivot.skellam.gammaln
+    monkeypatch.setattr(irvpivot.skellam, "gammaln", lambda x: sizes.append(np.size(x)) or real(x))
+    cases = [([0, -1], lambda: tie_terms(lam1, lam2))]
+    cases += [([w], lambda w=w: skellam_pmf(w, lam1, lam2)) for w in (-1, 0, 1)]
+    for ws, call in cases:
+        sizes.clear()
+        call()
+        bounds = [reference.pmf_window(float(w), lam1, lam2) for w in ws]
+        width = max(hi for _, hi in bounds) - min(lo for lo, _ in bounds) + 1
+        assert len(sizes) == 1
+        assert sizes[0] <= width + max(ws) - min(ws) + 1
