@@ -42,46 +42,46 @@ def _emit(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _cmd_compute(args) -> None:
+def _cmd_compute(args, tol: Tolerance) -> None:
     profile = BallotProfile.load(args.profile)
     utilities = _parse_floats(args.utilities) if args.utilities else None
     report = total_pivot_prob(
         profile,
         _parse_ballot(args.ballot),
         utilities=utilities,
-        tol=_tolerance(args),
+        tol=tol,
         with_events=args.events,
     )
     _emit(report.to_dict(with_events=args.events))
 
 
-def _cmd_sweep(args) -> None:
+def _cmd_sweep(args, tol: Tolerance) -> None:
     profile = BallotProfile.load(args.profile)
     utilities = _parse_floats(args.utilities) if args.utilities else None
     reports = sweep_reports(
         profile,
         utilities=utilities,
         full_length_only=args.full_length_only,
-        tol=_tolerance(args),
+        tol=tol,
         sequence_ties=args.with_sequence_ties,
     )
     _emit([r.to_dict() for r in reports])
 
 
-def _cmd_smdp(args) -> None:
+def _cmd_smdp(args, tol: Tolerance) -> None:
     profile = BallotProfile.load(args.profile)
-    reports = smdp_reports(profile, _tolerance(args), args.pairwise_approx)
+    reports = smdp_reports(profile, tol, args.pairwise_approx)
     _emit([r.to_dict() for r in reports])
 
 
-def _cmd_oracle(args) -> None:
+def _cmd_oracle(args, tol: Tolerance) -> None:
     profile = BallotProfile.load(args.profile)
     cfg = OracleConfig(draws=args.draws, seed=args.seed, tie_coin_seed=args.tie_coin_seed)
     est = mc_pivot_estimate(profile, _parse_ballot(args.ballot), cfg)
     _emit(dataclasses.asdict(est))
 
 
-def _cmd_experiment(args) -> None:
+def _cmd_experiment(args, tol: Tolerance) -> None:
     cfg = ExperimentConfig(
         kappas=tuple(int(k) for k in args.kappas.split(",")),
         n_voters=args.voters,
@@ -92,7 +92,7 @@ def _cmd_experiment(args) -> None:
     )
     results: list = []
     try:
-        run_experiment(cfg, _tolerance(args), args.pairwise_approx, partial=results)
+        run_experiment(cfg, tol, args.pairwise_approx, partial=results)
     finally:
         # On failure, finished contests are still written out.
         write_csv(results, args.out, timing=args.timing)
@@ -164,7 +164,8 @@ def main(argv: list[str] | None = None) -> None:
 
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        # Every command validates --tail-eps, the oracle's too.
+        args.func(args, _tolerance(args))
     except (ValueError, OSError) as exc:
         # An OSError's message names the path it could not open.
         raise SystemExit(f"pivot: {exc}") from None

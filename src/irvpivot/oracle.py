@@ -163,21 +163,14 @@ def _eliminate(
     strength = tie_strength.T.copy()
     np.copyto(strength, np.inf, where=(mask >> np.arange(kappa)[:, None]) & 1 == 0)
     slots = recip.T * n
+    mask = np.broadcast_to(mask, (n,))
     rounds = []
     for _ in range(int(np.max(mask)).bit_count() - 1):
-        if np.ndim(mask) == 0:
-            # One active set for all draws: each ranking's counts go whole
-            # to its recipient.
-            totals = np.zeros((kappa + 1, n))
-            for row, c in zip(weights, recip[mask]):
-                totals[c] += row
-            mask = np.full(n, mask)
-        else:
-            index = slots.take(mask, axis=1)
-            index += at
-            totals = np.bincount(
-                index.ravel(), weights=weights.ravel(), minlength=(kappa + 1) * n
-            ).reshape(kappa + 1, n)
+        index = slots.take(mask, axis=1)
+        index += at
+        totals = np.bincount(
+            index.ravel(), weights=weights.ravel(), minlength=(kappa + 1) * n
+        ).reshape(kappa + 1, n)
         if extra is not None:
             totals.ravel()[extra.take(mask) * n + at] += 1.0
         key = totals[:kappa] + strength

@@ -82,16 +82,13 @@ def smdp_pivot_prob(
     others = [j for j in range(profile.kappa) if j != candidate]
     total = 0.0
     for j in others:
-        if len(others) > 1:
-            # Everyone else must sit below the tie; proxy the unknown
-            # tie level by a Poisson count at the pair's mean rate.
-            level = 0.5 * (lam_c + lams[j])
-            below = 1.0
-            for k in others:
-                if k != j:
-                    below *= prob_strictly_greater(level, lams[k], tol)
-        else:
-            below = 1.0
+        # Everyone else must sit below the tie; proxy the unknown tie level
+        # by a Poisson count at the pair's mean rate.
+        level = 0.5 * (lam_c + lams[j])
+        below = 1.0
+        for k in others:
+            if k != j:
+                below *= prob_strictly_greater(level, lams[k], tol)
         brk, mk = tie_terms(lam_c, lams[j], tol)
         total += 0.5 * (brk + mk) * below
     return min(1.0, max(0.0, total))
@@ -110,17 +107,18 @@ def _tie_level_probs(lams: tuple[float, ...]) -> tuple[float, ...]:
     rate's CDF over the windows that read it.  Both are computed element by
     element, so a slice holds the same bits as an array made for that window
     alone, and each sum runs over that window in the order a one-candidate
-    loop would take.  The result depends on the rates alone; only the last
-    vector's is kept, so scoring the candidates of one profile in turn costs
-    one pass.
+    loop would take.  A pair's window and bystander product, the same for
+    both its candidates, are built once.  The result depends on the rates
+    alone; only the last vector's is kept, so scoring the candidates of one
+    profile in turn costs one pass.
     """
     kappa = len(lams)
-    windows = {}  # candidate pair, either order -> window of their tie level
+    windows = {}  # candidate pair a < b -> window of their tie level
     spans = {}  # bystander rate -> union of the windows whose product reads it
     for a in range(kappa):
         for b in range(a + 1, kappa):
             lo_center, hi_center = sorted((lams[a], lams[b]))
-            lo, hi = windows[a, b] = windows[b, a] = _window(lo_center, hi_center, hi_center + 1.0)
+            lo, hi = windows[a, b] = _window(lo_center, hi_center, hi_center + 1.0)
             for k in range(kappa):
                 if k != a and k != b:
                     span_lo, span_hi = spans.get(lams[k], (lo, hi))
@@ -132,23 +130,21 @@ def _tie_level_probs(lams: tuple[float, ...]) -> tuple[float, ...]:
         lam: (lo, _poisson_cdf_below(grid[lo - start : hi + 1 - start], lam))
         for lam, (lo, hi) in spans.items()
     }
-    out = []
-    for c in range(kappa):
-        others = [j for j in range(kappa) if j != c]
-        p_c = pmf[lams[c]]
-        total = 0.0
-        for j in others:
-            lo, hi = windows[c, j]
-            i, n = lo - start, hi + 1 - lo
-            below = np.ones(n)
-            for k in others:
-                if k != j:
-                    at, cdf_k = cdf[lams[k]]
-                    below *= cdf_k[lo - at : lo - at + n]
+    # Pairs in lexicographic order hand each candidate its opponents' sums
+    # in ascending order, the order of a one-candidate loop.
+    totals = [0.0] * kappa
+    for (a, b), (lo, hi) in windows.items():
+        i, n = lo - start, hi + 1 - lo
+        below = np.ones(n)
+        for k in range(kappa):
+            if k != a and k != b:
+                at, cdf_k = cdf[lams[k]]
+                below *= cdf_k[lo - at : lo - at + n]
+        for c, j in ((a, b), (b, a)):
+            p_c = pmf[lams[c]]
             p_j = pmf[lams[j]][i : i + n]
-            total += float(np.sum(p_j * 0.5 * (p_c[i : i + n] + p_c[i - 1 : i - 1 + n]) * below))
-        out.append(min(1.0, max(0.0, total)))
-    return tuple(out)
+            totals[c] += float(np.sum(p_j * 0.5 * (p_c[i : i + n] + p_c[i - 1 : i - 1 + n]) * below))
+    return tuple(min(1.0, max(0.0, total)) for total in totals)
 
 
 def _poisson_cdf_below(ms: np.ndarray, lam: float) -> np.ndarray:

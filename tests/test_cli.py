@@ -116,6 +116,24 @@ def test_tail_eps_env_override(profile_path):
     assert res.returncode == 0
 
 
+@pytest.mark.parametrize("flag, env_value, message", [
+    (("--tail-eps", "-1"), None, "pivot: tail_eps must be in (0, 1), got -1.0"),
+    ((), "bogus", "pivot: could not convert string to float: 'bogus'"),
+], ids=["flag", "env"])
+def test_oracle_validates_tail_eps(profile_path, flag, env_value, message):
+    import os
+
+    env = dict(os.environ)
+    env.pop("PIVOT_TAIL_EPS", None)
+    if env_value is not None:
+        env["PIVOT_TAIL_EPS"] = env_value
+    res = run_cli(
+        "oracle", "--profile", profile_path, "--ballot", "0", "--draws", "10", *flag, env=env
+    )
+    assert res.returncode == 1
+    assert res.stderr == message + "\n" and res.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["compute", "sweep", "smdp", "oracle", "experiment"])
 def test_tail_eps_help(command):
     res = run_cli(command, "--help")

@@ -368,3 +368,25 @@ def test_count_from_a_later_round(kappa):
                         totals[int(lost[i])] += 1
                         rank = {c: k for k, c in enumerate(orders[i])}
                         assert instead[i] == max(alive, key=lambda c: (-totals[c], rank[c]))
+
+
+@pytest.mark.parametrize("kappa", [3, 4, 5])
+def test_one_mask_for_all_draws_equals_one_per_draw(kappa):
+    """An int active set counts as that set repeated per draw: the same
+    rounds and winners, from the full field and from one candidate out,
+    with and without one added ballot."""
+    rng = np.random.default_rng(20 + kappa)
+    pool = admissible_rankings(kappa, kappa)
+    rankings = sorted(pool[int(j)] for j in rng.choice(len(pool), size=12, replace=False))
+    counts = rng.integers(0, 5, size=(50, len(rankings)))
+    strength = rng.random((50, kappa))
+    recip = _recipients(rankings, kappa)
+    for mask in ((1 << kappa) - 1, (1 << kappa) - 2):
+        for extra in (None, _recipients([rankings[-1]], kappa)[:, 0]):
+            one = _eliminate(counts, recip, strength, mask, extra)
+            each = _eliminate(counts, recip, strength, np.full(len(counts), mask), extra)
+            assert len(one[0]) == len(each[0]) == mask.bit_count() - 1
+            for got, want in zip(one[0], each[0]):
+                for a, b in zip(got, want):
+                    assert a.tolist() == b.tolist()
+            assert one[1].tolist() == each[1].tolist()

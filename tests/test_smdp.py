@@ -179,6 +179,12 @@ def test_exact_path_matches_per_window_reference(data, seed):
 @example([0.0, 0.0, 3.0, 3.0])
 @example([600.0, 100.0, 100.0, 100.0, 100.0])
 @example([0.0, 0.0, 0.0])
+# Six and seven candidates (the engine's cap is seven): a front-runner, and
+# a zero beside two equal rates.
+@example([900.0, 150.0, 120.0, 90.0, 60.0, 30.0])
+@example([0.0, 4.0, 4.0, 100.0, 250.0, 37.5])
+@example([1500.0, 200.0, 180.0, 150.0, 120.0, 90.0, 60.0])
+@example([37.5, 0.0, 250.0, 600.0, 250.0, 1.0, 100.0])
 def test_zero_and_equal_rates_match_per_window_reference(lams):
     prof = rates_profile(lams)
     for c in range(len(lams)):
