@@ -26,15 +26,22 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(tail_eps=eps)
 
 
-def _parse_ballot(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, convert, what: str, flag: str, example: str) -> tuple:
+    """Comma-separated values; a ``ValueError`` names the text and its flag."""
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(convert(tok) for tok in text.split(","))
     except ValueError:
-        raise SystemExit(f"cannot parse ballot {text!r}; expected e.g. 0,2,1")
+        raise ValueError(
+            f"cannot parse {what} {text!r} given to {flag}; expected e.g. {example}"
+        ) from None
+
+
+def _parse_ballot(text: str) -> tuple[int, ...]:
+    return _parse_list(text, int, "ballot", "--ballot", "0,2,1")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(","))
+    return _parse_list(text, float, "utilities", "--utilities", "1,0.5,0")
 
 
 def _emit(payload) -> None:
@@ -49,7 +56,6 @@ def _cmd_compute(args, tol: Tolerance) -> None:
         profile,
         _parse_ballot(args.ballot),
         utilities=utilities,
-        tol=tol,
         with_events=args.events,
     )
     _emit(report.to_dict(with_events=args.events))
@@ -62,7 +68,6 @@ def _cmd_sweep(args, tol: Tolerance) -> None:
         profile,
         utilities=utilities,
         full_length_only=args.full_length_only,
-        tol=tol,
         sequence_ties=args.with_sequence_ties,
     )
     _emit([r.to_dict() for r in reports])
@@ -83,7 +88,7 @@ def _cmd_oracle(args, tol: Tolerance) -> None:
 
 def _cmd_experiment(args, tol: Tolerance) -> None:
     cfg = ExperimentConfig(
-        kappas=tuple(int(k) for k in args.kappas.split(",")),
+        kappas=_parse_list(args.kappas, int, "kappas", "--kappas", "3,4,5"),
         n_voters=args.voters,
         runs=args.runs,
         distribution=args.dist,
@@ -164,7 +169,7 @@ def main(argv: list[str] | None = None) -> None:
 
     args = parser.parse_args(argv)
     try:
-        # Every command validates --tail-eps, the oracle's too.
+        # Every command validates --tail-eps; only the plurality ones take it.
         args.func(args, _tolerance(args))
     except (ValueError, OSError) as exc:
         # An OSError's message names the path it could not open.

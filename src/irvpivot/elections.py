@@ -226,7 +226,8 @@ class BallotProfile:
     Args:
         kappa: Number of candidates (at least 2).
         rates: Mapping from ranking to a nonnegative expected count, or
-            ``(ranking, rate)`` pairs; repeated rankings add up.
+            ``(ranking, rate)`` pairs; repeated rankings add up to a finite
+            rate.
         max_length: Longest ranking voters may cast; defaults to ``kappa``.
     """
 
@@ -243,7 +244,10 @@ class BallotProfile:
             rate = float(rate)
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"rate for {ranking!r} must be finite and >= 0, got {rate}")
-            cleaned[ranking] = cleaned.get(ranking, 0.0) + rate
+            total = cleaned.get(ranking, 0.0) + rate
+            if not math.isfinite(total):
+                raise ValueError(f"repeated rates for {ranking!r} add up to {total}")
+            cleaned[ranking] = total
         self.rates: dict[Ranking, float] = cleaned
 
     @property

@@ -42,11 +42,10 @@ def gen_uniform_profile(
     kappa: int,
     n_voters: float,
     max_length: int | None = None,
-    full_length_only: bool = True,
 ) -> BallotProfile:
-    """Profile giving every admissible ranking the same expected count."""
+    """Profile giving every full-length ranking the same expected count."""
     _check_voters(n_voters)
-    rankings = admissible_rankings(kappa, max_length, full_length_only)
+    rankings = admissible_rankings(kappa, max_length, full_length_only=True)
     rate = n_voters / len(rankings)
     return BallotProfile(kappa, {r: rate for r in rankings}, max_length)
 
@@ -56,15 +55,14 @@ def gen_powerlaw_profile(
     n_voters: float,
     seed: int,
     max_length: int | None = None,
-    full_length_only: bool = True,
 ) -> BallotProfile:
     """Front-runner profile: half the mass on one seeded focal ranking.
 
-    The other half is spread evenly over all admissible rankings, the focal
-    one included, so the total expected count is exactly ``n_voters``.
+    The other half is spread evenly over all full-length rankings, the
+    focal one included, so the total expected count is exactly ``n_voters``.
     """
     _check_voters(n_voters)
-    rankings = admissible_rankings(kappa, max_length, full_length_only)
+    rankings = admissible_rankings(kappa, max_length, full_length_only=True)
     rng = np.random.default_rng(_integral(seed, "seed"))
     focal = rankings[int(rng.integers(len(rankings)))]
     spread = 0.5 * n_voters / len(rankings)
@@ -86,6 +84,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         kappas = tuple(_check_limits(k, None)[0] for k in self.kappas)
+        if not kappas or len(set(kappas)) != len(kappas):
+            raise ValueError(f"kappas must be one or more distinct counts, got {kappas!r}")
         for kappa in kappas:
             _check_reach(kappa)
         object.__setattr__(self, "kappas", kappas)
@@ -162,7 +162,8 @@ def run_experiment(
 
     Args:
         cfg: Batch parameters.
-        tol: Kernel truncation bound.
+        tol: Truncation bound for the plurality tie-level sum, which does
+            not read it yet (ROADMAP item 2(d)).
         pairwise_approx: Use the head-to-head plurality variant.
         partial: Optional list that receives each result as it completes,
             so a caller can still flush finished rows if a later contest
@@ -183,7 +184,7 @@ def run_experiment(
             key = _profile_key(profile)
             irv_total = irv_totals.get(key)
             if irv_total is None:
-                reports = sweep_reports(profile, full_length_only=True, tol=tol)
+                reports = sweep_reports(profile, full_length_only=True)
                 irv_total = irv_totals[key] = math.fsum(r.p_total for r in reports)
             smdp_total = math.fsum(
                 smdp_pivot_prob(profile, c, tol, pairwise_approx) for c in range(kappa)

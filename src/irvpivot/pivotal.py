@@ -40,7 +40,7 @@ from .elections import (
     admissible_rankings,
     expected_total,
 )
-from .skellam import DEFAULT_TOLERANCE, Tolerance, prob_strictly_greater, skellam_pmf, tie_terms
+from .skellam import prob_strictly_greater, skellam_pmf, tie_terms
 
 __all__ = [
     "DirectEvent",
@@ -236,7 +236,6 @@ class PivotCalculator:
 
     Args:
         profile: Expected ballot counts.
-        tol: Kernel truncation bound.
         sequence_ties: If true, every pairwise survival comparison also
             credits half of the exact-tie mass for that pair (a coin-flip
             elimination going the survivor's way).  Off by default: drop
@@ -244,14 +243,8 @@ class PivotCalculator:
             mass enters solely through the pivotal round.
     """
 
-    def __init__(
-        self,
-        profile: BallotProfile,
-        tol: Tolerance = DEFAULT_TOLERANCE,
-        sequence_ties: bool = False,
-    ):
+    def __init__(self, profile: BallotProfile, sequence_ties: bool = False):
         self.profile = profile
-        self.tol = tol
         self.sequence_ties = sequence_ties
         self._T = expected_total(profile).tolist()
         # Kernel results keyed on the two rates they are evaluated at.
@@ -272,9 +265,9 @@ class PivotCalculator:
         key = (totals[winner], totals[loser])
         val = self._beats.get(key)
         if val is None:
-            val = prob_strictly_greater(*key, self.tol)
+            val = prob_strictly_greater(*key)
             if self.sequence_ties:
-                val = min(1.0, val + 0.5 * skellam_pmf(0, *key, self.tol))
+                val = min(1.0, val + 0.5 * skellam_pmf(0, *key))
             self._beats[key] = val
         return val
 
@@ -285,7 +278,7 @@ class PivotCalculator:
         key = (totals[candidate], totals[opponent])
         val = self._ties.get(key)
         if val is None:
-            val = self._ties[key] = tie_terms(*key, self.tol)
+            val = self._ties[key] = tie_terms(*key)
         return val
 
     def _round_product(self, order: tuple[int, ...], first: int, last: int) -> float:
@@ -470,11 +463,7 @@ class PivotCalculator:
 # -- module-level operations ----------------------------------------------
 
 
-def drop_sequence_prob(
-    profile: BallotProfile,
-    order: Sequence[int],
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> float:
+def drop_sequence_prob(profile: BallotProfile, order: Sequence[int]) -> float:
     """Probability the candidates are eliminated in exactly this order.
 
     ``order`` must rank all candidates (the last entry is the winner).  In
@@ -483,35 +472,32 @@ def drop_sequence_prob(
     comparisons are multiplied together.
     """
     order = _check_order(order, profile.kappa)
-    return PivotCalculator(profile, tol).sequence_prob(order, full=True)
+    return PivotCalculator(profile).sequence_prob(order, full=True)
 
 
 def total_pivot_prob(
     profile: BallotProfile,
     ballot: Sequence[int],
     utilities: Sequence[float] | Mapping[int, float] | None = None,
-    tol: Tolerance = DEFAULT_TOLERANCE,
     with_events: bool = False,
 ) -> PivotReport:
     """Full pivotality report for one ballot (direct plus indirect)."""
-    return PivotCalculator(profile, tol).report(ballot, utilities, with_events)
+    return PivotCalculator(profile).report(ballot, utilities, with_events)
 
 
 def expected_utility(
     profile: BallotProfile,
     ballot: Sequence[int],
     utilities: Sequence[float] | Mapping[int, float],
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> float:
     """Expected utility of casting the ballot, relative to abstaining."""
-    return total_pivot_prob(profile, ballot, utilities, tol).expected_utility
+    return total_pivot_prob(profile, ballot, utilities).expected_utility
 
 
 def best_ballot(
     profile: BallotProfile,
     utilities: Sequence[float] | Mapping[int, float],
     full_length_only: bool = False,
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> tuple[Ranking, PivotReport]:
     """Admissible ballot with the greatest expected utility.
 
@@ -520,7 +506,7 @@ def best_ballot(
     :func:`sweep_reports`.
     """
     best = max(
-        sweep_reports(profile, utilities, full_length_only, tol),
+        sweep_reports(profile, utilities, full_length_only),
         key=operator.attrgetter("expected_utility"),
     )
     return best.ballot, best
@@ -530,11 +516,10 @@ def sweep_reports(
     profile: BallotProfile,
     utilities: Sequence[float] | Mapping[int, float] | None = None,
     full_length_only: bool = False,
-    tol: Tolerance = DEFAULT_TOLERANCE,
     sequence_ties: bool = False,
 ) -> list[PivotReport]:
     """Pivotality reports for every admissible ballot, in lexicographic order."""
-    calc = PivotCalculator(profile, tol, sequence_ties=sequence_ties)
+    calc = PivotCalculator(profile, sequence_ties=sequence_ties)
     return [
         calc.report(ballot, utilities)
         for ballot in admissible_rankings(

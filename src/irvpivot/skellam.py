@@ -11,10 +11,10 @@ next is kept bit for bit, because the recorded benchmark values of the
 front-runner profiles come from the series' deep tail (ROADMAP item 2).
 
 The pmf, the tie terms and the deep tail of P(X > Y) are sums over a
-fixed window of 12 standard deviations plus 40 terms (:func:`_window`).
-``Tolerance.tail_eps`` is validated and passed along, but neither the
-window nor the closed form follows it (ROADMAP item 2(d)), so every value
-gives the same results.  The sums have no special-function edge cases
+fixed window of 12 standard deviations plus 40 terms (:func:`_window`),
+so no entry point takes a truncation bound.  :class:`Tolerance` is the
+bound the plurality engine will read once its tie-level window follows
+it (ROADMAP item 2(d)).  The sums have no special-function edge cases
 and handle degenerate rates exactly.
 
 The pmf rows of one call share their work: ``gammaln`` runs once, on one
@@ -45,10 +45,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Truncation bound for the kernel's infinite sums.
+    """Truncation bound for an infinite sum.
 
     ``tail_eps`` is the maximum probability mass that may be discarded when
-    an infinite sum is cut off.  Must lie strictly between 0 and 1.
+    an infinite sum is cut off.  Must lie strictly between 0 and 1.  Only
+    the plurality entry points take it, and none reads it yet.
     """
 
     tail_eps: float = 1e-12
@@ -140,27 +141,23 @@ def _skellam_pmf_many(ws: np.ndarray, lam1: float, lam2: float) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0)
 
 
-def skellam_pmf(w: int, lam1: float, lam2: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def skellam_pmf(w: int, lam1: float, lam2: float) -> float:
     """P(X - Y = w) for independent X ~ Poisson(lam1), Y ~ Poisson(lam2).
 
     Args:
         w: Integer difference at which to evaluate the pmf.
         lam1: Rate of the first count.
         lam2: Rate of the second count.
-        tol: Truncation bound for the convolution sum.
 
     Returns:
-        Probability in [0, 1], with absolute truncation error below
-        ``tol.tail_eps``.  Zero rates are handled exactly.
+        Probability in [0, 1].  Zero rates are handled exactly.
     """
     lam1 = _check_rate(lam1, "lam1")
     lam2 = _check_rate(lam2, "lam2")
     return float(_skellam_pmf_many(np.array([_integral(w, "w")]), lam1, lam2)[0])
 
 
-def prob_strictly_greater(
-    lam_a: float, lam_b: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
+def prob_strictly_greater(lam_a: float, lam_b: float) -> float:
     """P(X > Y) for independent X ~ Poisson(lam_a), Y ~ Poisson(lam_b).
 
     For nonzero rates this is the noncentral chi-square CDF
@@ -194,9 +191,7 @@ def prob_strictly_greater(
     return float(min(1.0, max(0.0, np.sum(weights * upper))))
 
 
-def tie_terms(
-    lam_c: float, lam_opp: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[float, float]:
+def tie_terms(lam_c: float, lam_opp: float) -> tuple[float, float]:
     """Exact-tie and one-behind probabilities for a pair of vote totals.
 
     ``break_tie`` is the probability the two totals are exactly equal, so

@@ -63,10 +63,8 @@ def smdp_pivot_prob(
     Args:
         profile: Expected ballot counts (only first choices are used).
         candidate: Candidate receiving the vote.
-        tol: Kernel truncation bound, passed to the kernel by the
-            head-to-head variant and at two candidates; the exact path with
-            three or more candidates never reads it.  The kernel validates
-            it but no result depends on it yet (see :mod:`irvpivot.skellam`).
+        tol: Truncation bound for the tie-level sum.  Nothing reads it
+            yet: the sum keeps the kernel's fixed window (ROADMAP item 2(d)).
         pairwise_approx: Score each two-way tie with the head-to-head tie
             mass alone, ignoring where the other candidates sit, instead of
             the exact top-two conditioning.
@@ -88,8 +86,8 @@ def smdp_pivot_prob(
         below = 1.0
         for k in others:
             if k != j:
-                below *= prob_strictly_greater(level, lams[k], tol)
-        brk, mk = tie_terms(lam_c, lams[j], tol)
+                below *= prob_strictly_greater(level, lams[k])
+        brk, mk = tie_terms(lam_c, lams[j])
         total += 0.5 * (brk + mk) * below
     return min(1.0, max(0.0, total))
 

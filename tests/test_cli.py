@@ -235,3 +235,65 @@ def test_experiment_refuses_a_voter_count_before_writing(tmp_path, voters):
     value = repr(float(voters))
     assert res.stderr.strip() == f"pivot: n_voters must be finite and positive, got {value}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("compute", ("--ballot", "zero"),
+     "cannot parse ballot 'zero' given to --ballot; expected e.g. 0,2,1"),
+    ("compute", ("--ballot", "0", "--utilities", "a,b,c"),
+     "cannot parse utilities 'a,b,c' given to --utilities; expected e.g. 1,0.5,0"),
+    ("sweep", ("--utilities", "1,,0"),
+     "cannot parse utilities '1,,0' given to --utilities; expected e.g. 1,0.5,0"),
+    ("oracle", ("--ballot", "0,x", "--draws", "10"),
+     "cannot parse ballot '0,x' given to --ballot; expected e.g. 0,2,1"),
+], ids=["compute-ballot", "compute-utilities", "sweep-utilities", "oracle-ballot"])
+def test_parse_errors_name_the_flag(profile_path, command, args, message):
+    res = run_cli(command, "--profile", profile_path, *args)
+    assert res.returncode == 1
+    assert res.stderr == f"pivot: {message}\n" and res.stdout == ""
+
+
+@pytest.mark.parametrize("kappas, message", [
+    ("3,x", "cannot parse kappas '3,x' given to --kappas; expected e.g. 3,4,5"),
+    ("3,3", "kappas must be one or more distinct counts, got (3, 3)"),
+], ids=["unparsable", "repeated"])
+def test_experiment_refuses_bad_kappas_before_writing(tmp_path, kappas, message):
+    out = tmp_path / "r.csv"
+    res = run_cli("experiment", "--kappas", kappas, "--runs", "1", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr == f"pivot: {message}\n" and res.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("compute", ("--ballot", "0,2,1", "--events", "--utilities", "1,0.5,0")),
+    ("sweep", ()),
+    ("sweep", ("--with-sequence-ties",)),
+    ("smdp", ()),
+    ("smdp", ("--pairwise-approx",)),
+    ("oracle", ("--ballot", "0", "--draws", "2000", "--seed", "3")),
+    ("experiment", ("--kappas", "3,4", "--voters", "200", "--runs", "2")),
+], ids=["compute", "sweep", "sweep-ties", "smdp", "smdp-pairwise", "oracle", "experiment"])
+def test_tail_eps_changes_no_output(tmp_path, profile_path, command, args):
+    import os
+
+    env = dict(os.environ)
+    env.pop("PIVOT_TAIL_EPS", None)
+    variants = {
+        "default": ((), env),
+        "flag": (("--tail-eps", "1e-3"), env),
+        "env": ((), dict(env, PIVOT_TAIL_EPS="1e-3")),
+    }
+    outputs = {}
+    for name, (flag, variant_env) in variants.items():
+        if command == "experiment":
+            files = (tmp_path / f"{name}.csv", tmp_path / f"{name}.dat")
+            where = ("--out", str(files[0]), "--dat", str(files[1]))
+        else:
+            files, where = (), ("--profile", profile_path)
+        res = run_cli(command, *where, *args, *flag, env=variant_env)
+        assert res.returncode == 0, res.stderr
+        outputs[name] = (res.stdout, *(f.read_bytes() for f in files))
+    assert outputs["default"][0] or command == "experiment"
+    assert outputs["flag"] == outputs["default"]
+    assert outputs["env"] == outputs["default"]

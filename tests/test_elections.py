@@ -87,6 +87,19 @@ def test_from_dict_sums_repeated_rankings():
         BallotProfile.from_dict(data)
 
 
+def test_repeated_rates_must_add_up_to_a_finite_rate():
+    message = r"^repeated rates for \(0,\) add up to inf$"
+    with pytest.raises(ValueError, match=message):
+        BallotProfile(2, [((0,), 1e308), ((0,), 1e308), ((1,), 5.0)])
+    data = {"kappa": 2, "rates": [{"ranking": [0], "rate": 1e308}] * 2}
+    with pytest.raises(ValueError, match=message):
+        BallotProfile.from_dict(data)
+    # A single bad rate keeps its own message.
+    with pytest.raises(ValueError, match=r"^rate for \(0,\) must be finite and >= 0, got inf$"):
+        BallotProfile(2, [((0,), 1.0), ((0,), math.inf)])
+    assert BallotProfile(2, [((0,), 1e308), ((0,), 7e307)]).rates == {(0,): 1e308 + 7e307}
+
+
 @pytest.mark.parametrize("cls,field", [(BallotProfile, "rate"), (RealizedElection, "count")])
 def test_from_dict_rejects_malformed_json(cls, field):
     for missing in ("kappa", field + "s", "ranking", field):

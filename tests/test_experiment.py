@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,13 @@ def test_config_validation():
         ExperimentConfig(kappas=(1, 3))
     with pytest.raises(ValueError):
         ExperimentConfig(distribution="zipf")
+
+
+@pytest.mark.parametrize("kappas", [(3, 3), (3, 4, 3), ()])
+def test_config_refuses_repeated_or_no_kappas(kappas):
+    # A repeat would write every row of its kappa twice; none, a bare header.
+    with pytest.raises(ValueError, match=f"distinct counts, got {re.escape(repr(kappas))}$"):
+        ExperimentConfig(kappas=kappas)
 
 
 def test_config_refuses_kappa_beyond_the_engine():
