@@ -195,10 +195,21 @@ def _read_json(data, what: str, field: str, number: type) -> tuple:
         ) from None
 
 
+# Rankings handed out once per (kappa, max_length), with the ids that let a
+# profile recognise them without checking them again; kept for kappa up to
+# this, since the lists grow fast (kappa=8 has 109,600 rankings).
+_SHARED_KAPPA = 7
+_shared_rankings: dict[tuple[int, int], tuple[list[Ranking], frozenset[int]]] = {}
+
+
 def admissible_rankings(
     kappa: int, max_length: int | None = None, full_length_only: bool = False
 ) -> list[Ranking]:
     """All rankings a voter could cast, in lexicographic order.
+
+    The list is new on every call; up to ``kappa=7`` its tuples are the same
+    objects on every call, and a :class:`BallotProfile` with these limits
+    takes them without checking them again.
 
     Args:
         kappa: Number of candidates.
@@ -208,16 +219,23 @@ def admissible_rankings(
             ``max_length`` is admissible.
     """
     kappa, max_length = _check_limits(kappa, max_length)
-    from itertools import permutations
+    shared = _shared_rankings.get((kappa, max_length))
+    if shared is not None:
+        rankings = shared[0]
+    else:
+        from itertools import permutations
 
-    lengths = [max_length] if full_length_only else range(1, max_length + 1)
-    out: list[Ranking] = []
-    for length in lengths:
-        out.extend(permutations(range(kappa), length))
-    # Plain tuple order: lexicographic, with a prefix sorting before any
-    # extension of it (shorter before longer).
-    out.sort()
-    return out
+        rankings = [
+            r for n in range(1, max_length + 1) for r in permutations(range(kappa), n)
+        ]
+        # Plain tuple order: lexicographic, with a prefix sorting before any
+        # extension of it (shorter before longer).
+        rankings.sort()
+        if kappa <= _SHARED_KAPPA:
+            _shared_rankings[kappa, max_length] = rankings, frozenset(map(id, rankings))
+    if full_length_only:
+        return [r for r in rankings if len(r) == max_length]
+    return list(rankings)
 
 
 class BallotProfile:
@@ -238,9 +256,14 @@ class BallotProfile:
         max_length: int | None = None,
     ):
         self.kappa, self.max_length = _check_limits(kappa, max_length)
+        shared = _shared_rankings.get((self.kappa, self.max_length))
+        known = shared[1] if shared is not None else frozenset()
         cleaned: dict[Ranking, float] = {}
         for key, rate in rates.items() if isinstance(rates, Mapping) else rates:
-            ranking = _check_ranking(key, self.kappa, self.max_length)
+            if id(key) in known:  # handed out by admissible_rankings for these limits
+                ranking = key
+            else:
+                ranking = _check_ranking(key, self.kappa, self.max_length)
             rate = float(rate)
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"rate for {ranking!r} must be finite and >= 0, got {rate}")
@@ -248,6 +271,10 @@ class BallotProfile:
             if not math.isfinite(total):
                 raise ValueError(f"repeated rates for {ranking!r} add up to {total}")
             cleaned[ranking] = total
+        try:
+            math.fsum(cleaned.values())
+        except OverflowError:
+            raise ValueError("rates add up to inf, more than a float holds") from None
         self.rates: dict[Ranking, float] = cleaned
 
     @property

@@ -120,25 +120,42 @@ def _profile_key(profile: BallotProfile):
     """A key that two profiles share only if one is a relabeling of the
     other, and that relabelings share where the candidates can be told apart.
 
-    The key is the profile relabeled so that candidates are numbered in
-    ascending order of their expected counts at each ballot position (one
-    ``math.fsum`` per candidate and position, compared position by
-    position), ties kept in id order.  Every key is a relabeling of its
+    Candidates are renumbered in ascending order of their expected counts
+    at each ballot position (one ``math.fsum`` per candidate and position,
+    compared position by position), ties kept in id order.  The key holds
+    kappa, the ballot limit, the code of every relabeled ranking in
+    ascending order and their rates in the same order.  A code is the
+    ranking's labels as digits in base ``kappa + 1`` behind a leading 1, so
+    it also encodes the length.  Every key describes a relabeling of its
     profile, so equal keys mean relabelings.  The sums move with the labels,
     so relabelings of a profile whose candidates all have different sums get
     the same key.
     """
     kappa = profile.kappa
+    rankings = list(profile.rates)
+    rates = list(profile.rates.values())
     counts = [[[] for _ in range(profile.max_length)] for _ in range(kappa)]
-    for ranking, rate in profile.rates.items():
+    for ranking, rate in zip(rankings, rates):
         for position, c in enumerate(ranking):
             counts[c][position].append(rate)
     sums = [tuple(math.fsum(r) for r in per_position) for per_position in counts]
     label = [0] * kappa
     for new, old in enumerate(sorted(range(kappa), key=sums.__getitem__)):
         label[old] = new
-    rates = sorted((tuple(label[c] for c in r), v) for r, v in profile.rates.items())
-    return (kappa, profile.max_length, tuple(rates))
+    base = kappa + 1
+    codes = []
+    for ranking in rankings:
+        code = 1
+        for c in ranking:
+            code = code * base + label[c]
+        codes.append(code)
+    order = sorted(range(len(codes)), key=codes.__getitem__)
+    return (
+        kappa,
+        profile.max_length,
+        tuple([codes[i] for i in order]),
+        tuple([rates[i] for i in order]),
+    )
 
 
 def run_experiment(

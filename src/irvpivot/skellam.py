@@ -72,6 +72,16 @@ def _check_rate(lam: float, name: str) -> float:
     return lam
 
 
+def _check_scale(lam1: float, lam2: float) -> None:
+    """A ``ValueError`` names two nonzero rates whose sums this kernel cannot
+    form: ``2 lam`` or ``4 lam1 lam2`` would overflow a float."""
+    if not (math.isfinite(2.0 * max(lam1, lam2)) and math.isfinite(4.0 * lam1 * lam2)):
+        raise ValueError(
+            f"rates {lam1!r} and {lam2!r} are too large: 2*lam or 4*lam1*lam2 "
+            "overflows a float"
+        )
+
+
 def _pois_logpmf(ms: np.ndarray, lam: float) -> np.ndarray:
     """Poisson log pmf on an integer grid; lam == 0 handled exactly."""
     if lam == 0.0:
@@ -118,6 +128,7 @@ def _skellam_pmf_many(ws: np.ndarray, lam1: float, lam2: float) -> np.ndarray:
     if lam1 == 0.0:
         out = np.exp(_pois_logpmf(-ws.astype(float), lam2))
         return np.where(ws <= 0, out, 0.0)
+    _check_scale(lam1, lam2)
 
     wmin, wmax = int(ws.min()), int(ws.max())
     lo, hi = _pmf_window(float(wmin), lam1, lam2)
@@ -180,6 +191,7 @@ def prob_strictly_greater(lam_a: float, lam_b: float) -> float:
     if lam_b == 0.0:
         # Y is 0 almost surely: P(X >= 1).
         return float(-np.expm1(-lam_a))
+    _check_scale(lam_a, lam_b)
     closed = float(chndtr(2.0 * lam_a, 2.0, 2.0 * lam_b))
     if closed >= _CLOSED_FORM_FLOOR:
         return min(1.0, max(0.0, closed))

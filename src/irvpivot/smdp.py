@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammaincc, gammaln
 
 from .elections import BallotProfile, _check_candidate
 from .pivotal import PivotReport
@@ -101,14 +101,16 @@ def _tie_level_probs(lams: tuple[float, ...]) -> tuple[float, ...]:
     count m of
         P(X_j = m) * [1/2 P(X_c = m) + 1/2 P(X_c = m - 1)] * prod_k P(X_k < m).
     Every window of every candidate is cut from one grid that starts a count
-    below their union, holding each distinct rate's pmf, and each bystander
-    rate's CDF over the windows that read it.  Both are computed element by
-    element, so a slice holds the same bits as an array made for that window
-    alone, and each sum runs over that window in the order a one-candidate
-    loop would take.  A pair's window and bystander product, the same for
-    both its candidates, are built once.  The result depends on the rates
-    alone; only the last vector's is kept, so scoring the candidates of one
-    profile in turn costs one pass.
+    below their union, holding each distinct rate's pmf (from one ``gammaln``
+    row), and each bystander rate's CDF over the windows that read it.  Both
+    are computed element by element, so a slice holds the same bits as an
+    array made for that window alone, and each sum runs over that window in
+    the order a one-candidate loop would take.  A pair's window and
+    bystander product, the same for both its candidates, are built once; a
+    pair whose two rates and bystander rates in id order repeat an earlier
+    pair's would repeat its operations, so it takes that pair's two sums.
+    The result depends on the rates alone; only the last vector's is kept,
+    so scoring the candidates of one profile in turn costs one pass.
     """
     kappa = len(lams)
     windows = {}  # candidate pair a < b -> window of their tie level
@@ -123,7 +125,12 @@ def _tie_level_probs(lams: tuple[float, ...]) -> tuple[float, ...]:
                     spans[lams[k]] = min(span_lo, lo), max(span_hi, hi)
     start = min(lo for lo, _ in windows.values()) - 1
     grid = np.arange(start, max(hi for _, hi in windows.values()) + 1, dtype=float)
-    pmf = {lam: np.exp(_pois_logpmf(grid, lam)) for lam in set(lams)}
+    lgam = gammaln(grid + 1.0)
+    # _pois_logpmf's expression, with its gammaln row computed once.
+    pmf = {
+        lam: np.exp(grid * np.log(lam) - lam - lgam if lam else _pois_logpmf(grid, lam))
+        for lam in set(lams)
+    }
     cdf = {
         lam: (lo, _poisson_cdf_below(grid[lo - start : hi + 1 - start], lam))
         for lam, (lo, hi) in spans.items()
@@ -131,17 +138,24 @@ def _tie_level_probs(lams: tuple[float, ...]) -> tuple[float, ...]:
     # Pairs in lexicographic order hand each candidate its opponents' sums
     # in ascending order, the order of a one-candidate loop.
     totals = [0.0] * kappa
+    pair_sums = {}  # (lam_a, lam_b, bystander rates in id order) -> sums
     for (a, b), (lo, hi) in windows.items():
-        i, n = lo - start, hi + 1 - lo
-        below = np.ones(n)
-        for k in range(kappa):
-            if k != a and k != b:
+        bystanders = [k for k in range(kappa) if k != a and k != b]
+        key = (lams[a], lams[b], tuple(lams[k] for k in bystanders))
+        sums = pair_sums.get(key)
+        if sums is None:
+            i, n = lo - start, hi + 1 - lo
+            below = np.ones(n)
+            for k in bystanders:
                 at, cdf_k = cdf[lams[k]]
                 below *= cdf_k[lo - at : lo - at + n]
-        for c, j in ((a, b), (b, a)):
-            p_c = pmf[lams[c]]
-            p_j = pmf[lams[j]][i : i + n]
-            totals[c] += float(np.sum(p_j * 0.5 * (p_c[i : i + n] + p_c[i - 1 : i - 1 + n]) * below))
+            sums = pair_sums[key] = []
+            for c, j in ((a, b), (b, a)):
+                p_c = pmf[lams[c]]
+                p_j = pmf[lams[j]][i : i + n]
+                sums.append(float(np.sum(p_j * 0.5 * (p_c[i : i + n] + p_c[i - 1 : i - 1 + n]) * below)))
+        totals[a] += sums[0]
+        totals[b] += sums[1]
     return tuple(min(1.0, max(0.0, total)) for total in totals)
 
 

@@ -191,6 +191,18 @@ def test_string_rate_message(tmp_path):
     assert res.stderr.strip() == "pivot: malformed profile: 'rate' must be a number, got '1.5'"
 
 
+def test_overflowing_profile_total_message(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"kappa": 2, "rates": [{"ranking": [0], "rate": 1e308},'
+        ' {"ranking": [1], "rate": 1e308}]}'
+    )
+    res = run_cli("compute", "--profile", str(path), "--ballot", "0")
+    assert res.returncode == 1
+    assert res.stderr == "pivot: rates add up to inf, more than a float holds\n"
+    assert res.stdout == ""
+
+
 def test_experiment_refuses_kappa_beyond_the_engine(tmp_path):
     out = tmp_path / "r.csv"
     res = run_cli("experiment", "--kappas", "3,8", "--runs", "1", "--out", str(out))

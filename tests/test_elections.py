@@ -100,6 +100,66 @@ def test_repeated_rates_must_add_up_to_a_finite_rate():
     assert BallotProfile(2, [((0,), 1e308), ((0,), 7e307)]).rates == {(0,): 1e308 + 7e307}
 
 
+def test_rates_must_add_up_to_a_finite_total():
+    message = r"^rates add up to inf, more than a float holds$"
+    with pytest.raises(ValueError, match=message):
+        BallotProfile(2, {(0,): 1e308, (1,): 1e308})
+    data = {"kappa": 2, "rates": [{"ranking": [0], "rate": 1e308}, {"ranking": [1], "rate": 1e308}]}
+    with pytest.raises(ValueError, match=message):
+        BallotProfile.from_dict(data)
+    # Rankings from admissible_rankings skip the ranking check, not this one.
+    with pytest.raises(ValueError, match=message):
+        BallotProfile(2, dict.fromkeys(admissible_rankings(2), 1e308))
+    assert BallotProfile(2, {(0,): 1e308, (1,): 7e307}).total_expected == 1e308 + 7e307
+
+
+@pytest.mark.parametrize("kappa, max_length", [(2, None), (3, None), (4, 2), (5, None)])
+def test_generated_rankings_build_the_profile_other_keys_build(kappa, max_length):
+    rankings = admissible_rankings(kappa, max_length)
+    rates = [float(i % 7) + 0.25 for i in range(len(rankings))]
+    shared = BallotProfile(kappa, dict(zip(rankings, rates)), max_length)
+    for keys in (
+        [list(r) for r in rankings],
+        [np.array(r) for r in rankings],
+        [tuple(float(c) for c in r) for r in rankings],
+    ):
+        other = BallotProfile(kappa, list(zip(keys, rates)), max_length)
+        assert other == shared and other.to_dict() == shared.to_dict()
+
+
+def test_generated_rankings_of_other_limits_are_checked():
+    # Rankings of these limits are recognised; a kappa=4 one is not.
+    admissible_rankings(3)
+    admissible_rankings(4, 2)
+    for ranking in admissible_rankings(4):
+        fresh = tuple(list(ranking))
+        assert fresh is not ranking
+        for kappa, max_length in ((3, None), (4, 2)):
+            outcomes = []
+            for key in (ranking, fresh):
+                try:
+                    outcomes.append(BallotProfile(kappa, {key: 1.0}, max_length).rates)
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+    with pytest.raises(ValueError, match=r"^ranking \(0, 1, 2\) has length 3, allowed 1..2$"):
+        BallotProfile(4, {admissible_rankings(4)[2]: 1.0}, max_length=2)
+
+
+def test_admissible_rankings_returns_a_new_list_each_call():
+    first = admissible_rankings(3)
+    expected = list(first)
+    first.reverse()
+    first.append((0,))
+    assert admissible_rankings(3) == expected
+    full = admissible_rankings(3, full_length_only=True)
+    full.clear()
+    assert admissible_rankings(3, full_length_only=True) == [r for r in expected if len(r) == 3]
+    # Both lists hand out the same tuples; kappa=8's are not kept.
+    assert admissible_rankings(4, full_length_only=True)[0] is admissible_rankings(4)[3]
+    assert admissible_rankings(8, 2)[0] is not admissible_rankings(8, 2)[0]
+
+
 @pytest.mark.parametrize("cls,field", [(BallotProfile, "rate"), (RealizedElection, "count")])
 def test_from_dict_rejects_malformed_json(cls, field):
     for missing in ("kappa", field + "s", "ranking", field):

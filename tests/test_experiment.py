@@ -251,3 +251,11 @@ def test_profile_key_is_shared_by_relabelings(kappa, max_length):
     assert _profile_key(dirichlet_profile(kappa, 100.0, seed=1)) != _profile_key(
         dirichlet_profile(kappa, 100.0, seed=2)
     )
+
+
+def test_profile_key_separates_ranking_lengths():
+    base = {(0,): 5.0, (1, 2, 0): 3.0, (2, 1): 2.0}
+    for ranking, truncated in (((1, 2, 0), (1, 2)), ((2, 1), (2,))):
+        other = dict(base)
+        other[truncated] = other.pop(ranking)
+        assert _profile_key(BallotProfile(3, other)) != _profile_key(BallotProfile(3, base))

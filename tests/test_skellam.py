@@ -1,6 +1,7 @@
 """Kernel tests against independent convolution and double-sum oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,29 @@ def test_rejects_bad_inputs():
         Tolerance(tail_eps=0.0)
     with pytest.raises(ValueError):
         Tolerance(tail_eps=1.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, lam1, lam2", [
+    (lambda a, b: prob_strictly_greater(a, b), 1e308, 1e308),
+    (lambda a, b: prob_strictly_greater(a, b), 1e-10, 1e308),
+    (lambda a, b: tie_terms(a, b), 1e200, 1e200),
+    (lambda a, b: tie_terms(a, b), 1e308, 1e-10),
+    (lambda a, b: skellam_pmf(0, a, b), 1e200, 1e200),
+], ids=["psg", "psg-2lam", "tie_terms", "tie_terms-2lam", "pmf"])
+def test_huge_rates_raise_a_message(call, lam1, lam2):
+    # Rates from about 1e12 up to these are left unprobed: the windowed sums
+    # would allocate ~1e11 doubles there.
+    with pytest.raises(ValueError, match=re.escape(f"rates {lam1!r} and {lam2!r} are too large")):
+        call(lam1, lam2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_rates_against_zero_stay_exact():
+    assert prob_strictly_greater(1e308, 0.0) == 1.0
+    assert prob_strictly_greater(0.0, 1e308) == 0.0
+    assert tie_terms(1e308, 0.0) == (0.0, 0.0)
+    assert skellam_pmf(0, 0.0, 1e308) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
