@@ -22,15 +22,18 @@ grid of every count either variable takes, and X's log pmf once, over
 every shifted count ``w + m``; each ``w``'s row is a slice of that row plus
 Y's.  Every element sees the same operations on the same doubles as a
 per-row evaluation (``tests/reference.py``), so the values keep their bits.
+
+``scipy.special`` is imported on the first kernel call, not with the
+package: ``import irvpivot`` and the Monte-Carlo oracle need numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from importlib import import_module
 
 import numpy as np
-from scipy.special import chndtr, gammainc, gammaln
 
 from .elections import _integral
 
@@ -60,6 +63,30 @@ class Tolerance:
 
 
 DEFAULT_TOLERANCE = Tolerance()
+
+
+class _Special:
+    """The ``scipy.special`` function ``name``, imported on its first call.
+
+    That import costs about 0.2 s and 25 MB, which the code paths that call
+    no special function (the package import, the oracle) do not pay.
+    """
+
+    __slots__ = ("name", "_func")
+
+    def __init__(self, name: str):
+        self.name = name
+        self._func = None
+
+    def __call__(self, *args):
+        if self._func is None:
+            self._func = getattr(import_module("scipy.special"), self.name)
+        return self._func(*args)
+
+
+chndtr = _Special("chndtr")
+gammainc = _Special("gammainc")
+gammaln = _Special("gammaln")
 
 # Smallest P(X > Y) taken from the closed form; smaller values come from the series.
 _CLOSED_FORM_FLOOR = 1e-10

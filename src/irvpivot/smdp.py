@@ -16,14 +16,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .elections import BallotProfile, _check_candidate
 from .pivotal import PivotReport
 from .skellam import DEFAULT_TOLERANCE, Tolerance, prob_strictly_greater, tie_terms
-from .skellam import _pois_logpmf, _window
+from .skellam import _pois_logpmf, _Special, _window, gammaln
 
 __all__ = ["SmdpReport", "first_choice_rates", "smdp_pivot_prob", "smdp_reports"]
+
+gammaincc = _Special("gammaincc")
+
+# Longest float grid numpy can allocate: its size in bytes must fit an intp.
+_MAX_GRID = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,13 @@ def _tie_level_probs(lams: tuple[float, ...]) -> tuple[float, ...]:
                     span_lo, span_hi = spans.get(lams[k], (lo, hi))
                     spans[lams[k]] = min(span_lo, lo), max(span_hi, hi)
     start = min(lo for lo, _ in windows.values()) - 1
-    grid = np.arange(start, max(hi for _, hi in windows.values()) + 1, dtype=float)
+    stop = max(hi for _, hi in windows.values()) + 1
+    if stop - start > _MAX_GRID:
+        raise ValueError(
+            f"rate {max(lams)!r} is too large: its tie-level grid would hold "
+            "more counts than an array can"
+        )
+    grid = np.arange(start, stop, dtype=float)
     lgam = gammaln(grid + 1.0)
     # _pois_logpmf's expression, with its gammaln row computed once.
     pmf = {

@@ -203,6 +203,16 @@ def test_overflowing_profile_total_message(tmp_path):
     assert res.stdout == ""
 
 
+def test_smdp_refuses_a_rate_too_large_for_its_grid(tmp_path):
+    path = tmp_path / "huge.json"
+    BallotProfile(3, {(0,): 1e20, (1,): 1.0, (2,): 1.0}).dump(path)
+    res = run_cli("smdp", "--profile", str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("pivot: rate 1e+20 is too large")
+    assert res.stderr.count("\n") == 1
+    assert res.stdout == ""
+
+
 def test_experiment_refuses_kappa_beyond_the_engine(tmp_path):
     out = tmp_path / "r.csv"
     res = run_cli("experiment", "--kappas", "3,8", "--runs", "1", "--out", str(out))

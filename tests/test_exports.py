@@ -45,3 +45,31 @@ def test_import_leaves_scipy_stats_out():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_oracle_path_leaves_scipy_special_out(tmp_path):
+    # The oracle is numpy alone; the kernel imports scipy.special on its
+    # first call, and the values it then returns keep their bits.
+    profile = tmp_path / "profile.json"
+    irvpivot.BallotProfile(3, {(0, 1, 2): 12.0, (1, 2, 0): 10.0, (2, 0, 1): 9.0}).dump(profile)
+    code = f"""
+import contextlib, io, sys
+import irvpivot
+from irvpivot import BallotProfile, OracleConfig, mc_expected_utility, mc_pivot_estimates
+from irvpivot.cli import main
+
+profile = BallotProfile.load({str(profile)!r})
+cfg = OracleConfig(draws=2000, seed=1)
+mc_pivot_estimates(profile, [(0,), (1, 0)], cfg)
+mc_expected_utility(profile, (2,), (1.0, 0.5, 0.0), cfg)
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["oracle", "--profile", {str(profile)!r}, "--ballot", "0", "--draws", "2000"])
+print("scipy.special" in sys.modules)
+print([v.hex() for v in irvpivot.tie_terms(5.0, 7.0)], "scipy.special" in sys.modules)
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "False",
+        "['0x1.961d19d03665ap-4', '0x1.cbbe4a020dacbp-4'] True",
+    ]
