@@ -22,7 +22,14 @@ _ENV_TAIL_EPS = "PIVOT_TAIL_EPS"
 def _tolerance(args) -> Tolerance:
     eps = args.tail_eps
     if eps is None:
-        eps = float(os.environ.get(_ENV_TAIL_EPS, DEFAULT_TOLERANCE.tail_eps))
+        text = os.environ.get(_ENV_TAIL_EPS, DEFAULT_TOLERANCE.tail_eps)
+        try:
+            eps = float(text)
+        except ValueError:
+            raise ValueError(
+                f"cannot parse {text!r} given to {_ENV_TAIL_EPS}; expected a number "
+                "in (0, 1), e.g. 1e-12"
+            ) from None
     return Tolerance(tail_eps=eps)
 
 
@@ -164,8 +171,9 @@ def main(argv: list[str] | None = None) -> None:
 
     for p in sub.choices.values():
         p.add_argument("--tail-eps", type=float, default=None,
-                       help=f"series truncation bound (default {_ENV_TAIL_EPS} or "
-                            f"{DEFAULT_TOLERANCE.tail_eps})")
+                       help="bound reserved for the plurality tie-level sum; "
+                            "validated, read by nothing yet (default "
+                            f"{_ENV_TAIL_EPS} or {DEFAULT_TOLERANCE.tail_eps})")
 
     args = parser.parse_args(argv)
     try:

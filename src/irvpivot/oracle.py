@@ -1,16 +1,18 @@
 """Assumption-free Monte-Carlo estimates of pivotal probabilities.
 
 Each draw realizes an integer electorate from the profile's Poisson rates,
-tabulates the IRV winner, adds the single ballot under study, and
-re-tabulates.  Ties are broken by a fair coin realized as one random
-tie-strength number per candidate per draw; the recount reuses the same
-numbers, so the added ballot is the only difference between the two counts.
-A draw whose winner changes is pivotal; it counts as direct when the new
-winner is the ballot's own surviving candidate, indirect otherwise.
+tabulates the IRV winner, adds the single ballot under study as one more
+ranking cast once, and re-tabulates.  Ties are broken by a fair coin
+realized as one random tie-strength number per candidate per draw; the
+recount reuses the same numbers, so the added ballot is the only difference
+between the two counts.  A draw whose winner changes is pivotal; it counts
+as direct when the new winner is the ballot's own surviving candidate,
+indirect otherwise.
 
 Counting uses the recipient table of :func:`elections._recipients`, built
 once per call: for every active-set bitmask and every ranking, the first
 listed candidate still standing (or ``kappa`` for an exhausted ballot).
+The ballot under study is one more column of that table.
 :func:`_eliminate` counts many draws at once, each from its own active
 set.  A round drops the candidate with the smallest key, its total plus its
 tie strength, and the count records, per round, the active set, the loser,
@@ -134,7 +136,6 @@ def _eliminate(
     recip: np.ndarray,
     tie_strength: np.ndarray,
     mask: int | np.ndarray,
-    extra: np.ndarray | None = None,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
     """Vectorized IRV count of many electorates, each from its own active set.
 
@@ -145,8 +146,6 @@ def _eliminate(
             candidate with smaller strength drops (and loses the final).
         mask: Active-set bitmask to count from, one for all draws or one
             per draw; every mask has the same number (>= 2) of candidates.
-        extra: Optional recipient column of one more ballot, added to
-            every electorate.
 
     Returns:
         (rounds, winner): per round, ``(mask, loser, instead)`` arrays: the
@@ -171,8 +170,6 @@ def _eliminate(
         totals = np.bincount(
             index.ravel(), weights=weights.ravel(), minlength=(kappa + 1) * n
         ).reshape(kappa + 1, n)
-        if extra is not None:
-            totals.ravel()[extra.take(mask) * n + at] += 1.0
         key = totals[:kappa] + strength
         loser = _argmin(key)
         slot = loser * n + at
@@ -185,37 +182,38 @@ def _eliminate(
 
 
 def _ballot_pivots(
-    extra: np.ndarray,
+    recip: np.ndarray,
     rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     saveable: list[np.ndarray],
     counts: np.ndarray,
-    recip: np.ndarray,
     tie_strength: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The draws one more ballot can change, read off the first count.
 
-    ``saveable[r]`` lists the draws whose round-``r`` loser one more vote
-    would save.  A draw is taken at the first round whose loser is also the
-    ballot's recipient.  Returns ``(draws, w1, direct)``: the draws taken,
-    the winner with the ballot, and whether that winner is the ballot's own
-    choice in the final round.  On every other draw the count with the
-    ballot drops the same candidates as the count without it (see the
-    module docstring).
+    ``recip`` is the recipient table of the counted rankings with the
+    ballot's column appended, so a recount takes the ballot as one more
+    ranking, cast once.  ``saveable[r]`` lists the draws whose round-``r``
+    loser one more vote would save.  A draw is taken at the first round
+    whose loser is also the ballot's recipient.  Returns
+    ``(draws, w1, direct)``: the draws taken, the winner with the ballot,
+    and whether that winner is the ballot's own choice in the final round.
+    On every other draw the count with the ballot drops the same candidates
+    as the count without it (see the module docstring).
     """
+    ballot = recip[:, -1]
     taken = np.zeros(len(tie_strength), dtype=bool)
     parts = []
     for r, ((mask, loser, instead), idx) in enumerate(zip(rounds, saveable)):
-        hit = idx[extra.take(mask.take(idx)) == loser.take(idx)]
+        hit = idx[ballot.take(mask.take(idx)) == loser.take(idx)]
         hit = hit[~taken[hit]]
         taken[hit] = True
         if r == len(rounds) - 1:
             # The final: the saved loser beats the one candidate left.
             parts.append((hit, loser[hit], np.ones(len(hit), dtype=bool)))
         elif len(hit):
-            later, w1 = _eliminate(
-                counts[hit], recip, tie_strength[hit], mask[hit] & ~(1 << instead[hit]), extra
-            )
-            parts.append((hit, w1, extra.take(later[-1][0]) == w1))
+            cast = np.column_stack((counts[hit], np.ones(len(hit), counts.dtype)))
+            later, w1 = _eliminate(cast, recip, tie_strength[hit], mask[hit] & ~(1 << instead[hit]))
+            parts.append((hit, w1, ballot.take(later[-1][0]) == w1))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -242,9 +240,9 @@ def _pivot_blocks(
             saveable = [np.flatnonzero(instead != loser) for _, loser, instead in rounds]
             out = []
             for extra in extras:
-                draws, w1, direct = _ballot_pivots(
-                    extra, rounds, saveable, counts, recip, tie_strength
-                )
+                # One table at a time: all ballots' tables at once could outgrow memory.
+                table = np.column_stack((recip, extra))
+                draws, w1, direct = _ballot_pivots(table, rounds, saveable, counts, tie_strength)
                 out.append((w0[draws], w1, direct))
             yield out
 

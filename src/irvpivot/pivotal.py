@@ -482,6 +482,7 @@ def total_pivot_prob(
     with_events: bool = False,
 ) -> PivotReport:
     """Full pivotality report for one ballot (direct plus indirect)."""
+    _check_reach(profile.kappa)
     return PivotCalculator(profile).report(ballot, utilities, with_events)
 
 
@@ -519,6 +520,7 @@ def sweep_reports(
     sequence_ties: bool = False,
 ) -> list[PivotReport]:
     """Pivotality reports for every admissible ballot, in lexicographic order."""
+    _check_reach(profile.kappa)
     calc = PivotCalculator(profile, sequence_ties=sequence_ties)
     return [
         calc.report(ballot, utilities)

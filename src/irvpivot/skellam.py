@@ -109,12 +109,14 @@ def _check_scale(lam1: float, lam2: float) -> None:
         )
 
 
-def _pois_logpmf(ms: np.ndarray, lam: float) -> np.ndarray:
-    """Poisson log pmf on an integer grid; lam == 0 handled exactly."""
+def _pois_logpmf(ms: np.ndarray, lam: float, lgam: np.ndarray | None = None) -> np.ndarray:
+    """Poisson log pmf on an integer grid, ``lgam`` being ``gammaln(ms + 1)``
+    if the caller has it; lam == 0 handled exactly."""
     if lam == 0.0:
         return np.where(ms == 0, 0.0, -np.inf)
-    with np.errstate(divide="ignore"):
-        return ms * np.log(lam) - lam - gammaln(ms + 1.0)
+    if lgam is None:
+        lgam = gammaln(ms + 1.0)
+    return ms * np.log(lam) - lam - lgam
 
 
 def _window(lo_center: float, hi_center: float, variance: float) -> tuple[int, int]:
@@ -168,8 +170,8 @@ def _skellam_pmf_many(ws: np.ndarray, lam1: float, lam2: float) -> np.ndarray:
     lgam = gammaln(counts + 1.0)
     ys = slice(lo - base, hi - base + 1)
     xs = slice(wmin + lo - base, wmax + hi - base + 1)
-    logy = counts[ys] * np.log(lam2) - lam2 - lgam[ys]
-    logx = counts[xs] * np.log(lam1) - lam1 - lgam[xs]
+    logy = _pois_logpmf(counts[ys], lam2, lgam[ys])
+    logx = _pois_logpmf(counts[xs], lam1, lgam[xs])
     # logs[i, j] = log P(X = w_i + m_j) + log P(Y = m_j); row i is a slice of logx.
     logs = np.array([logx[k : k + width] for k in (ws - wmin).tolist()])
     logs += logy

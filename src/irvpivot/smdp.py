@@ -26,9 +26,6 @@ __all__ = ["SmdpReport", "first_choice_rates", "smdp_pivot_prob", "smdp_reports"
 
 gammaincc = _Special("gammaincc")
 
-# Longest float grid numpy can allocate: its size in bytes must fit an intp.
-_MAX_GRID = np.iinfo(np.intp).max // np.dtype(float).itemsize
-
 
 @dataclass(frozen=True)
 class SmdpReport:
@@ -129,18 +126,16 @@ def _tie_level_probs(lams: tuple[float, ...]) -> tuple[float, ...]:
                     spans[lams[k]] = min(span_lo, lo), max(span_hi, hi)
     start = min(lo for lo, _ in windows.values()) - 1
     stop = max(hi for _, hi in windows.values()) + 1
-    if stop - start > _MAX_GRID:
+    try:
+        grid = np.arange(start, stop, dtype=float)
+    except (ValueError, MemoryError):
+        # numpy refuses a grid it cannot index or allocate.
         raise ValueError(
             f"rate {max(lams)!r} is too large: its tie-level grid would hold "
             "more counts than an array can"
-        )
-    grid = np.arange(start, stop, dtype=float)
+        ) from None
     lgam = gammaln(grid + 1.0)
-    # _pois_logpmf's expression, with its gammaln row computed once.
-    pmf = {
-        lam: np.exp(grid * np.log(lam) - lam - lgam if lam else _pois_logpmf(grid, lam))
-        for lam in set(lams)
-    }
+    pmf = {lam: np.exp(_pois_logpmf(grid, lam, lgam)) for lam in set(lams)}
     cdf = {
         lam: (lo, _poisson_cdf_below(grid[lo - start : hi + 1 - start], lam))
         for lam, (lo, hi) in spans.items()

@@ -118,7 +118,8 @@ def test_tail_eps_env_override(profile_path):
 
 @pytest.mark.parametrize("flag, env_value, message", [
     (("--tail-eps", "-1"), None, "pivot: tail_eps must be in (0, 1), got -1.0"),
-    ((), "bogus", "pivot: could not convert string to float: 'bogus'"),
+    ((), "bogus",
+     "pivot: cannot parse 'bogus' given to PIVOT_TAIL_EPS; expected a number in (0, 1), e.g. 1e-12"),
 ], ids=["flag", "env"])
 def test_oracle_validates_tail_eps(profile_path, flag, env_value, message):
     import os
@@ -139,7 +140,23 @@ def test_tail_eps_help(command):
     res = run_cli(command, "--help")
     assert res.returncode == 0, res.stderr
     text = " ".join(res.stdout.split())
-    assert "--tail-eps TAIL_EPS series truncation bound (default PIVOT_TAIL_EPS or 1e-12)" in text
+    assert (
+        "--tail-eps TAIL_EPS bound reserved for the plurality tie-level sum; validated, "
+        "read by nothing yet (default PIVOT_TAIL_EPS or 1e-12)"
+    ) in text
+
+
+def test_unparsable_tail_eps_env_names_the_variable(profile_path):
+    import os
+
+    env = dict(os.environ, PIVOT_TAIL_EPS="abc")
+    res = run_cli("smdp", "--profile", profile_path, env=env)
+    assert res.returncode == 1
+    assert res.stderr == (
+        "pivot: cannot parse 'abc' given to PIVOT_TAIL_EPS; expected a number in (0, 1), "
+        "e.g. 1e-12\n"
+    )
+    assert res.stdout == ""
 
 
 def test_overflowing_utilities_message(profile_path):
@@ -209,6 +226,29 @@ def test_smdp_refuses_a_rate_too_large_for_its_grid(tmp_path):
     res = run_cli("smdp", "--profile", str(path))
     assert res.returncode == 1
     assert res.stderr.startswith("pivot: rate 1e+20 is too large")
+    assert res.stderr.count("\n") == 1
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("rate", [1e17, 1e18])
+def test_smdp_refuses_a_rate_too_large_to_allocate_its_grid(tmp_path, rate):
+    # numpy refuses these grids at allocation, without touching memory.
+    path = tmp_path / "huge.json"
+    BallotProfile(3, {(0,): rate, (1,): 1.0, (2,): 1.0}).dump(path)
+    res = run_cli("smdp", "--profile", str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"pivot: rate {rate!r} is too large")
+    assert res.stderr.count("\n") == 1
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command, args", [("compute", ("--ballot", "0")), ("sweep", ())])
+def test_reports_refuse_kappa_beyond_the_engine(tmp_path, command, args):
+    path = tmp_path / "eight.json"
+    BallotProfile(8, {(0, 1): 10.0, (7,): 9.0}, max_length=2).dump(path)
+    res = run_cli(command, "--profile", str(path), *args)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pivot: pivot events are enumerated for at most 7")
     assert res.stderr.count("\n") == 1
     assert res.stdout == ""
 

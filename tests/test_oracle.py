@@ -295,6 +295,13 @@ def test_expected_utility_near_the_float_limit():
     assert big == small * 2.0**1000
 
 
+def _cast(counts, rankings, ballots, kappa):
+    """Counts and recipient table of ``rankings`` followed by ``ballots``,
+    each added ballot one more ranking, cast once in every draw."""
+    ones = np.ones((len(counts), len(ballots)), counts.dtype)
+    return np.column_stack((counts, ones)), _recipients([*rankings, *ballots], kappa)
+
+
 @pytest.mark.parametrize("kappa", [2, 3, 4, 5])
 def test_block_tabulation_matches_scalar_tabulate(kappa):
     """Per draw, the vectorized count agrees with ``elections.tabulate`` run
@@ -313,7 +320,8 @@ def test_block_tabulation_matches_scalar_tabulate(kappa):
         recip = _recipients(rankings, kappa)
         extra = _recipients([ballot], kappa)[:, 0]
         _, w0 = _eliminate(counts, recip, strength, (1 << kappa) - 1)
-        rounds, w1 = _eliminate(counts, recip, strength, (1 << kappa) - 1, extra)
+        cast, with_ballot = _cast(counts, rankings, [ballot], kappa)
+        rounds, w1 = _eliminate(cast, with_ballot, strength, (1 << kappa) - 1)
         final = rounds[-1][0]
         for i in range(len(counts)):
             order = [int(c) for c in np.argsort(-strength[i])]
@@ -342,12 +350,12 @@ def test_count_from_a_later_round(kappa):
         counts = rng.integers(0, 4, size=(40, len(rankings)))
         counts[:, 0] += 1
         strength = rng.random((40, kappa))
-        recip = _recipients(rankings, kappa)
-        for extra in (None, _recipients([ballot], kappa)[:, 0]):
+        for ballots in ([], [ballot]):
+            cast, recip = _cast(counts, rankings, ballots, kappa)
             realized = [dict(zip(rankings, c)) for c in counts.tolist()]
-            if extra is not None:
-                for votes in realized:
-                    votes[ballot] = votes.get(ballot, 0) + 1
+            for votes in realized:
+                for b in ballots:
+                    votes[b] = votes.get(b, 0) + 1
             orders = [[int(c) for c in np.argsort(-s)] for s in strength]
             wins, drops = zip(*(
                 tabulate(RealizedElection(kappa, votes), tie_break=order)
@@ -355,7 +363,7 @@ def test_count_from_a_later_round(kappa):
             ))
             for r in range(1, kappa - 1):
                 start = np.array([(1 << kappa) - 1 - sum(1 << c for c in d[:r]) for d in drops])
-                rounds, w = _eliminate(counts, recip, strength, start, extra)
+                rounds, w = _eliminate(cast, recip, strength, start)
                 assert w.tolist() == list(wins)
                 assert (rounds[0][0] == start).all()
                 assert np.array([lost for _, lost, _ in rounds]).T.tolist() == [
@@ -380,11 +388,11 @@ def test_one_mask_for_all_draws_equals_one_per_draw(kappa):
     rankings = sorted(pool[int(j)] for j in rng.choice(len(pool), size=12, replace=False))
     counts = rng.integers(0, 5, size=(50, len(rankings)))
     strength = rng.random((50, kappa))
-    recip = _recipients(rankings, kappa)
     for mask in ((1 << kappa) - 1, (1 << kappa) - 2):
-        for extra in (None, _recipients([rankings[-1]], kappa)[:, 0]):
-            one = _eliminate(counts, recip, strength, mask, extra)
-            each = _eliminate(counts, recip, strength, np.full(len(counts), mask), extra)
+        for ballots in ([], [rankings[-1]]):
+            cast, recip = _cast(counts, rankings, ballots, kappa)
+            one = _eliminate(cast, recip, strength, mask)
+            each = _eliminate(cast, recip, strength, np.full(len(counts), mask))
             assert len(one[0]) == len(each[0]) == mask.bit_count() - 1
             for got, want in zip(one[0], each[0]):
                 for a, b in zip(got, want):

@@ -135,6 +135,23 @@ def test_reports_refuse_kappa_beyond_the_cap(kernel_calls):
     assert kernel_calls == {"psg": 0, "tie": 0}
 
 
+def test_reports_refuse_kappa_beyond_the_cap_before_the_totals_table(monkeypatch):
+    def no_table(profile):
+        raise AssertionError("the totals table was built")
+
+    monkeypatch.setattr(pivotal, "expected_total", no_table)
+    prof = BallotProfile(8, {(0, 1): 10.0, (7,): 9.0}, max_length=2)
+    u = [1.0] + [0.0] * 7
+    for refused in (
+        lambda: total_pivot_prob(prof, (0,)),
+        lambda: expected_utility(prof, (0,), u),
+        lambda: sweep_reports(prof),
+        lambda: best_ballot(prof, u),
+    ):
+        with pytest.raises(ValueError, match=f"at most {pivotal.MAX_KAPPA} candidates, got kappa=8"):
+            refused()
+
+
 def test_kappa7_sweep_memory():
     # The per-kappa event table this DP replaced took 1.18 GB at kappa=7.
     prof = gen_powerlaw_profile(7, 1000.0, seed=0)
