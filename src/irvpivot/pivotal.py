@@ -40,7 +40,7 @@ from .elections import (
     admissible_rankings,
     expected_total,
 )
-from .skellam import prob_strictly_greater, skellam_pmf, tie_terms
+from .skellam import _LogGammaRows, prob_strictly_greater, skellam_pmf, tie_terms
 
 __all__ = [
     "DirectEvent",
@@ -225,7 +225,9 @@ class PivotCalculator:
     (:func:`elections.expected_total`).  The kernel is a function of two
     Poisson rates only, so :meth:`beats` and :meth:`tie_pair` cache it on
     the rate values: in symmetric profiles most comparisons share a pair.
-    The DP reaches the kernel only through them.
+    The DP reaches the kernel only through them, and they hand it the
+    calculator's own log-gamma rows, so the tie windows of different rate
+    pairs compute each count's ``gammaln`` once.
 
     A round factor multiplies its comparisons in ascending order of value
     and every sum is a ``math.fsum``, so no result depends on candidate
@@ -250,6 +252,7 @@ class PivotCalculator:
         # Kernel results keyed on the two rates they are evaluated at.
         self._beats: dict[tuple[float, float], float] = {}
         self._ties: dict[tuple[float, float], tuple[float, float]] = {}
+        self._lgam = _LogGammaRows()
         # DP values, each keyed on its arguments.
         self._prefixes: dict[int, float] = {0: 1.0}
         self._winners: dict[tuple[int, int], float] = {}
@@ -267,7 +270,7 @@ class PivotCalculator:
         if val is None:
             val = prob_strictly_greater(*key)
             if self.sequence_ties:
-                val = min(1.0, val + 0.5 * skellam_pmf(0, *key))
+                val = min(1.0, val + 0.5 * skellam_pmf(0, *key, self._lgam))
             self._beats[key] = val
         return val
 
@@ -278,7 +281,7 @@ class PivotCalculator:
         key = (totals[candidate], totals[opponent])
         val = self._ties.get(key)
         if val is None:
-            val = self._ties[key] = tie_terms(*key)
+            val = self._ties[key] = tie_terms(*key, self._lgam)
         return val
 
     def _round_product(self, order: tuple[int, ...], first: int, last: int) -> float:

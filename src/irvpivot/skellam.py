@@ -17,11 +17,15 @@ bound the plurality engine will read once its tie-level window follows
 it (ROADMAP item 2(d)).  The sums have no special-function edge cases
 and handle degenerate rates exactly.
 
-The pmf rows of one call share their work: ``gammaln`` runs once, on one
-grid of every count either variable takes, and X's log pmf once, over
-every shifted count ``w + m``; each ``w``'s row is a slice of that row plus
-Y's.  Every element sees the same operations on the same doubles as a
-per-row evaluation (``tests/reference.py``), so the values keep their bits.
+``gammaln(m + 1)`` comes from a :class:`_LogGammaRows` object, which
+computes it in fixed blocks of counts, each block at most once.  A
+``PivotCalculator`` owns one, so the tie terms of its many rate pairs share
+the counts their windows have in common; a call given none makes a fresh
+one.  X's log pmf is evaluated once over every shifted count ``w + m`` and
+Y's over its own window, each read on its own, never the counts between
+them; each ``w``'s row is a slice of X's row plus Y's, built in one buffer.
+Every element sees the same operations on the same doubles as a per-row
+evaluation (``tests/reference.py``), so the values keep their bits.
 
 ``scipy.special`` is imported on the first kernel call, not with the
 package: ``import irvpivot`` and the Monte-Carlo oracle need numpy alone.
@@ -30,6 +34,7 @@ package: ``import irvpivot`` and the Monte-Carlo oracle need numpy alone.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import import_module
 
@@ -116,7 +121,10 @@ def _pois_logpmf(ms: np.ndarray, lam: float, lgam: np.ndarray | None = None) -> 
         return np.where(ms == 0, 0.0, -np.inf)
     if lgam is None:
         lgam = gammaln(ms + 1.0)
-    return ms * np.log(lam) - lam - lgam
+    out = ms * np.log(lam)
+    out -= lam
+    out -= lgam
+    return out
 
 
 def _window(lo_center: float, hi_center: float, variance: float) -> tuple[int, int]:
@@ -140,13 +148,74 @@ def _pmf_window(w: float, lam1: float, lam2: float) -> tuple[int, int]:
     return lo, max(lo, hi)
 
 
-def _skellam_pmf_many(ws: np.ndarray, lam1: float, lam2: float) -> np.ndarray:
+# Counts per log-gamma block: small enough that a window computes little
+# beyond its ends, large enough that windows near each other share blocks.
+_BLOCK = 256
+
+
+class _LogGammaRows:
+    """The counts ``m`` and ``gammaln(m + 1)`` over the windows a caller
+    reads, computed in blocks of ``_BLOCK`` counts, each at most once.
+
+    Computed blocks are kept as disjoint runs of consecutive counts, so a
+    window inside one run is read as a view.  A window that reaches past a
+    run joins the runs it touches and the blocks it is missing into one;
+    counts that no window reached are never computed.  Negative counts get
+    ``gammaln(<= 0) = inf``, so a log pmf of -inf.
+    """
+
+    __slots__ = ("starts", "runs")
+
+    def __init__(self):
+        self.starts: list[int] = []  # first count of each run, ascending
+        self.runs: list[np.ndarray] = []  # rows: counts, gammaln(counts + 1)
+
+    def __call__(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of ``m`` and ``gammaln(m + 1)`` for ``m = lo..hi``."""
+        i = bisect_right(self.starts, lo) - 1
+        if i < 0 or self.starts[i] + self.runs[i].shape[1] <= hi:
+            i = self._join(lo // _BLOCK * _BLOCK, (hi // _BLOCK + 1) * _BLOCK)
+        run = self.runs[i][:, lo - self.starts[i] : hi + 1 - self.starts[i]]
+        return run[0], run[1]
+
+    def _join(self, a: int, b: int) -> int:
+        """Index of one run holding the counts ``a..b-1`` and every run they
+        touch, made by computing the blocks of ``a..b-1`` that no run holds."""
+        starts, runs = self.starts, self.runs
+        i = bisect_right(starts, a) - 1
+        if i < 0 or starts[i] + runs[i].shape[1] < a:
+            i += 1
+        j = bisect_right(starts, b)
+        first = min(a, starts[i]) if i < j else a
+        pieces, at = [], first
+        for start, run in zip(starts[i:j], runs[i:j]):
+            if at < start:
+                pieces.append(_log_gamma_span(at, start))
+            pieces.append(run)
+            at = start + run.shape[1]
+        if at < b:
+            pieces.append(_log_gamma_span(at, b))
+        starts[i:j] = [first]
+        runs[i:j] = [pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)]
+        return i
+
+
+def _log_gamma_span(a: int, b: int) -> np.ndarray:
+    """Rows ``m`` and ``gammaln(m + 1)`` for ``m = a..b-1``."""
+    ms = np.arange(a, b, dtype=float)
+    return np.array([ms, gammaln(ms + 1.0)])
+
+
+def _skellam_pmf_many(
+    ws: np.ndarray, lam1: float, lam2: float, rows: _LogGammaRows | None = None
+) -> np.ndarray:
     """Skellam pmf at every integer in ``ws`` (vectorized convolution).
 
     Each row sums P(X = w + m) P(Y = m) over one shared Y window ``lo..hi``.
-    One ``gammaln`` call covers every count X or Y takes, and X's log pmf
-    is evaluated once over ``min(ws) + lo .. max(ws) + hi``, so no count's
-    log pmf is computed twice.
+    Y's log pmf is evaluated over that window and X's once over
+    ``min(ws) + lo .. max(ws) + hi``, each with ``gammaln`` read from
+    ``rows`` (a fresh one if none is given); each row is built, shifted to
+    its peak, exponentiated and summed in one buffer.
     """
     ws = np.asarray(ws, dtype=np.int64)
     if lam1 == 0.0 and lam2 == 0.0:
@@ -158,43 +227,49 @@ def _skellam_pmf_many(ws: np.ndarray, lam1: float, lam2: float) -> np.ndarray:
         out = np.exp(_pois_logpmf(-ws.astype(float), lam2))
         return np.where(ws <= 0, out, 0.0)
     _check_scale(lam1, lam2)
+    if rows is None:
+        rows = _LogGammaRows()
 
     wmin, wmax = int(ws.min()), int(ws.max())
     lo, hi = _pmf_window(float(wmin), lam1, lam2)
     lo2, hi2 = _pmf_window(float(wmax), lam1, lam2)
     lo, hi = min(lo, lo2), max(hi, hi2)
     width = hi - lo + 1
-    # Negative counts of X get gammaln(<= 0) = inf, so a log pmf of -inf.
-    base = lo + min(wmin, 0)
-    counts = np.arange(base, hi + max(wmax, 0) + 1, dtype=float)
-    lgam = gammaln(counts + 1.0)
-    ys = slice(lo - base, hi - base + 1)
-    xs = slice(wmin + lo - base, wmax + hi - base + 1)
-    logy = _pois_logpmf(counts[ys], lam2, lgam[ys])
-    logx = _pois_logpmf(counts[xs], lam1, lgam[xs])
-    # logs[i, j] = log P(X = w_i + m_j) + log P(Y = m_j); row i is a slice of logx.
-    logs = np.array([logx[k : k + width] for k in (ws - wmin).tolist()])
-    logs += logy
-    mx = np.max(logs, axis=1, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    vals = np.exp(mx[:, 0]) * np.sum(np.exp(logs - mx), axis=1)
-    return np.clip(vals, 0.0, 1.0)
+    xs, lgam_x = rows(wmin + lo, wmax + hi)
+    ys, lgam_y = rows(lo, hi)
+    logx = _pois_logpmf(xs, lam1, lgam_x)
+    logy = _pois_logpmf(ys, lam2, lgam_y)
+    # Row i holds log P(X = w_i + m_j) + log P(Y = m_j): a slice of logx plus logy.
+    peaks = np.empty(len(ws))
+    sums = np.empty(len(ws))
+    row = np.empty(width)
+    for i, k in enumerate((ws - wmin).tolist()):
+        np.add(logx[k : k + width], logy, out=row)
+        peak = row.max()
+        if not math.isfinite(peak):
+            peak = 0.0
+        row -= peak
+        np.exp(row, out=row)
+        peaks[i], sums[i] = peak, row.sum()
+    return np.clip(np.exp(peaks) * sums, 0.0, 1.0)
 
 
-def skellam_pmf(w: int, lam1: float, lam2: float) -> float:
+def skellam_pmf(w: int, lam1: float, lam2: float, rows: _LogGammaRows | None = None) -> float:
     """P(X - Y = w) for independent X ~ Poisson(lam1), Y ~ Poisson(lam2).
 
     Args:
         w: Integer difference at which to evaluate the pmf.
         lam1: Rate of the first count.
         lam2: Rate of the second count.
+        rows: The caller's log-gamma rows, shared across its calls; a fresh
+            one if omitted.
 
     Returns:
         Probability in [0, 1].  Zero rates are handled exactly.
     """
     lam1 = _check_rate(lam1, "lam1")
     lam2 = _check_rate(lam2, "lam2")
-    return float(_skellam_pmf_many(np.array([_integral(w, "w")]), lam1, lam2)[0])
+    return float(_skellam_pmf_many(np.array([_integral(w, "w")]), lam1, lam2, rows)[0])
 
 
 def prob_strictly_greater(lam_a: float, lam_b: float) -> float:
@@ -232,7 +307,9 @@ def prob_strictly_greater(lam_a: float, lam_b: float) -> float:
     return float(min(1.0, max(0.0, np.sum(weights * upper))))
 
 
-def tie_terms(lam_c: float, lam_opp: float) -> tuple[float, float]:
+def tie_terms(
+    lam_c: float, lam_opp: float, rows: _LogGammaRows | None = None
+) -> tuple[float, float]:
     """Exact-tie and one-behind probabilities for a pair of vote totals.
 
     ``break_tie`` is the probability the two totals are exactly equal, so
@@ -246,5 +323,5 @@ def tie_terms(lam_c: float, lam_opp: float) -> tuple[float, float]:
     """
     lam_c = _check_rate(lam_c, "lam_c")
     lam_opp = _check_rate(lam_opp, "lam_opp")
-    vals = _skellam_pmf_many(np.array([0, -1]), lam_c, lam_opp)
+    vals = _skellam_pmf_many(np.array([0, -1]), lam_c, lam_opp, rows)
     return float(vals[0]), float(vals[1])

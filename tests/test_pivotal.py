@@ -789,3 +789,29 @@ def test_sweep_kernel_work_per_distinct_rate_pair(name, kernel_calls):
         sweep_reports(make(kappa), full_length_only=True)
         got.append((kernel_calls["psg"], kernel_calls["tie"]))
     assert got == want
+
+
+def test_each_calculator_owns_its_log_gamma_rows(monkeypatch):
+    # The tie terms and, under sequence_ties, the tie credit of a comparison
+    # read the calculator's own rows object, so no log-gamma value survives
+    # from one calculator to the next.
+    seen = []
+
+    def recording(kernel):
+        def wrapper(*args):
+            seen.append(args[-1])
+            return kernel(*args)
+        return wrapper
+
+    for name in ("tie_terms", "skellam_pmf"):
+        monkeypatch.setattr(pivotal, name, recording(getattr(pivotal, name)))
+    prof = gen_powerlaw_profile(4, 1000.0, seed=0)
+    owners = []
+    for _ in range(2):
+        seen.clear()
+        calc = PivotCalculator(prof, sequence_ties=True)
+        calc.report((3, 2, 1, 0))
+        assert seen and all(rows is seen[0] for rows in seen)
+        assert isinstance(seen[0], skellam._LogGammaRows)
+        owners.append(seen[0])
+    assert owners[0] is not owners[1]

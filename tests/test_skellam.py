@@ -2,6 +2,8 @@
 
 import math
 import re
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import irvpivot.skellam
 from irvpivot import Tolerance, prob_strictly_greater, skellam_pmf, tie_terms
-from irvpivot.skellam import _skellam_pmf_many
+from irvpivot.skellam import _BLOCK, _LogGammaRows, _skellam_pmf_many
 
 from conftest import conv_skellam_pmf, double_sum_gt
 import reference
@@ -190,33 +192,91 @@ W_SETS = st.one_of(
 )
 
 
+# One rows object shared by every draw: blocks computed for earlier draws
+# must serve later ones with the same bits.
+SHARED_ROWS = _LogGammaRows()
+
+
 @settings(max_examples=200, deadline=None)
 @given(lam1=RATES, lam2=RATES, equal=st.booleans(), ws=W_SETS)
 @example(lam1=5.0, lam2=7.0, equal=False, ws=[0, -1])
 @example(lam1=100.0, lam2=600.0, equal=False, ws=[0, -1])
 @example(lam1=1e4, lam2=1.05e4, equal=False, ws=[0, -1])
+@example(lam1=0.3, lam2=2e5, equal=False, ws=[0, -1])
+@example(lam1=0.0, lam2=3.5, equal=False, ws=[0, -1])
+@example(lam1=2.0, lam2=0.0, equal=False, ws=[1, -1])
+@example(lam1=0.3, lam2=0.3, equal=False, ws=[0, -1])  # X's window reaches count -1
+@example(lam1=1e3, lam2=1e3, equal=False, ws=[0, -1])  # counts 423..1577 span several blocks
 def test_pmf_rows_match_per_row_reference(lam1, lam2, equal, ws):
-    # The shared log-gamma grid does the per-row formula's arithmetic on the
-    # same doubles, so every value keeps its bits.
+    # Log-gamma rows read from blocks do the per-row formula's arithmetic on
+    # the same doubles, so every value keeps its bits, from a fresh rows
+    # object and from one shared across draws.
     if equal:
         lam2 = lam1
-    got = _skellam_pmf_many(np.array(ws), lam1, lam2)
-    assert got.tobytes() == reference.skellam_pmf_many(ws, lam1, lam2).tobytes()
+    want = reference.skellam_pmf_many(ws, lam1, lam2).tobytes()
+    assert _skellam_pmf_many(np.array(ws), lam1, lam2).tobytes() == want
+    assert _skellam_pmf_many(np.array(ws), lam1, lam2, SHARED_ROWS).tobytes() == want
+
+
+def window_blocks(ws, lam1: float, lam2: float) -> set[int]:
+    """Blocks covering the kernel's Y window for ``ws`` and X's, shifted by ``ws``."""
+    bounds = [reference.pmf_window(float(w), lam1, lam2) for w in ws]
+    lo, hi = min(b[0] for b in bounds), max(b[1] for b in bounds)
+    spans = [(lo, hi), (min(ws) + lo, max(ws) + hi)]
+    return {b for a, z in spans for b in range(a // _BLOCK, z // _BLOCK + 1)}
+
+
+@pytest.fixture
+def log_gamma_counts(monkeypatch):
+    """Every count m whose gammaln(m + 1) the kernel evaluates, in order."""
+    seen = []
+    real = irvpivot.skellam.gammaln
+    monkeypatch.setattr(
+        irvpivot.skellam, "gammaln", lambda x: seen.extend((x - 1.0).tolist()) or real(x)
+    )
+    return seen
 
 
 @pytest.mark.parametrize("lam1, lam2", [(5.0, 7.0), (100.0, 600.0), (1e4, 1.05e4), (0.3, 2e5)])
-def test_one_log_gamma_grid_per_call(monkeypatch, lam1, lam2):
-    # Evaluating each variable's log pmf on its own would take two gammaln
-    # calls over three windows' worth of counts.
-    sizes = []
-    real = irvpivot.skellam.gammaln
-    monkeypatch.setattr(irvpivot.skellam, "gammaln", lambda x: sizes.append(np.size(x)) or real(x))
-    cases = [([0, -1], lambda: tie_terms(lam1, lam2))]
-    cases += [([w], lambda w=w: skellam_pmf(w, lam1, lam2)) for w in (-1, 0, 1)]
+def test_one_log_gamma_grid_per_call(log_gamma_counts, lam1, lam2):
+    # Calls sharing one rows object evaluate each count's gammaln at most
+    # once, and only in the blocks that cover some call's X or Y window.
+    rows = _LogGammaRows()
+    cases = [([0, -1], lambda: tie_terms(lam1, lam2, rows))]
+    cases += [([w], lambda w=w: skellam_pmf(w, lam1, lam2, rows)) for w in (-1, 0, 1)]
+    covered = set()
     for ws, call in cases:
-        sizes.clear()
         call()
-        bounds = [reference.pmf_window(float(w), lam1, lam2) for w in ws]
-        width = max(hi for _, hi in bounds) - min(lo for lo, _ in bounds) + 1
-        assert len(sizes) == 1
-        assert sizes[0] <= width + max(ws) - min(ws) + 1
+        covered |= window_blocks(ws, lam1, lam2)
+    counts = Counter(log_gamma_counts)
+    assert max(counts.values()) == 1
+    assert {m // _BLOCK for m in counts} == covered
+    assert len(counts) == len(covered) * _BLOCK
+
+
+def test_far_apart_tie_windows_compute_no_counts_between(log_gamma_counts):
+    # Tie terms at totals 10 and 1e7 on one rows object: the blocks of their
+    # two windows, and none of the ten million counts between them.
+    rows = _LogGammaRows()
+    tie_terms(10.0, 10.0, rows)
+    tie_terms(1e7, 1e7, rows)
+    low, high = window_blocks([0, -1], 10.0, 10.0), window_blocks([0, -1], 1e7, 1e7)
+    assert max(low) + 1 < min(high)
+    assert {m // _BLOCK for m in log_gamma_counts} == low | high
+    assert len(log_gamma_counts) == len(set(log_gamma_counts)) == len(low | high) * _BLOCK
+
+
+def test_pmf_far_in_the_tail_reads_two_windows_not_the_span(log_gamma_counts):
+    # At w = 1e10, X's window sits 1e10 counts above Y's.  A grid spanning
+    # both would be an 80 GB array; the two windows of 1.2 million counts
+    # each fit in a few tens of MB.
+    w = 10**10
+    tracemalloc.start()
+    try:
+        assert skellam_pmf(w, 5.0, 7.0) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160e6
+    assert {m // _BLOCK for m in log_gamma_counts} == window_blocks([w], 5.0, 7.0)
+
