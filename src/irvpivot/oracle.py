@@ -39,10 +39,13 @@ candidate recorded as dropping instead.
 Draws are generated in blocks of 65,536 with a counter-based seed per
 block, so estimates are bit-for-bit reproducible and independent of how
 blocks would be scheduled across workers.  Each block is sampled and
-counted in chunks of 16,384 draws, which bounds the working arrays.  The
-chunks take a block's Poisson counts and tie strengths in consecutive calls
-on the block's two generators, which consume their streams in draw order,
-so every chunk holds the values one call per block would give.
+counted in chunks of at most 16,384 draws and at most 2**20 count cells
+(draws times rankings), which bounds the working arrays by cells: a κ=4
+profile keeps 16,384-draw chunks, a uniform κ=6 one (720 rankings) takes
+1,456.  The chunks take a block's Poisson counts and tie strengths in
+consecutive calls on the block's two generators, which consume their
+streams in draw order, so every chunk holds the values one call per block
+would give, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 16
-_CHUNK = 1 << 14
+_CELLS = 1 << 20
 _COUNT_STREAM = 0x636E7473
 _COIN_STREAM = 0x636F696E
 
@@ -229,11 +232,12 @@ def _pivot_blocks(
     rates = np.array([profile.rates[r] for r in rankings], dtype=np.float64)
     recip = _recipients(rankings, profile.kappa)
     extras = _recipients(ballots, profile.kappa).T
+    chunk = min(1 << 14, _CELLS // len(rankings))
     for block, done in enumerate(range(0, cfg.draws, _BLOCK)):
         rng_counts, rng_coins = _block_rngs(cfg, block)
         size = min(_BLOCK, cfg.draws - done)
-        for start in range(0, size, _CHUNK):
-            n = min(_CHUNK, size - start)
+        for start in range(0, size, chunk):
+            n = min(chunk, size - start)
             counts = rng_counts.poisson(rates, size=(n, len(rates)))
             tie_strength = rng_coins.random((n, profile.kappa))
             rounds, w0 = _eliminate(counts, recip, tie_strength, (1 << profile.kappa) - 1)

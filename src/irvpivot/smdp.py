@@ -103,10 +103,14 @@ def _tie_level_probs(lams: tuple[float, ...]) -> tuple[float, ...]:
         P(X_j = m) * [1/2 P(X_c = m) + 1/2 P(X_c = m - 1)] * prod_k P(X_k < m).
     Every window of every candidate is cut from one grid that starts a count
     below their union, holding each distinct rate's pmf (from one ``gammaln``
-    row), and each bystander rate's CDF over the windows that read it.  Both
-    are computed element by element, so a slice holds the same bits as an
-    array made for that window alone, and each sum runs over that window in
-    the order a one-candidate loop would take.  A pair's window and
+    row); each bystander rate's CDF over the span of windows that read it is
+    a row of :func:`_cdf_row`, which keeps the last 16 rows across passes.
+    Both are computed element by element, so a slice holds the same bits as
+    an array made for that window alone, and each sum runs over that window
+    in the order a one-candidate loop would take.  The pmf rows are built
+    afresh each pass: each spans the whole grid, ``gammaln`` costs about a
+    seventh of ``gammaincc`` per count, and keeping them too raised the
+    Figure 1 batch's peak memory by about 10%.  A pair's window and
     bystander product, the same for both its candidates, are built once; a
     pair whose two rates and bystander rates in id order repeat an earlier
     pair's would repeat its operations, so it takes that pair's two sums.
@@ -136,10 +140,7 @@ def _tie_level_probs(lams: tuple[float, ...]) -> tuple[float, ...]:
         ) from None
     lgam = gammaln(grid + 1.0)
     pmf = {lam: np.exp(_pois_logpmf(grid, lam, lgam)) for lam in set(lams)}
-    cdf = {
-        lam: (lo, _poisson_cdf_below(grid[lo - start : hi + 1 - start], lam))
-        for lam, (lo, hi) in spans.items()
-    }
+    cdf = {lam: (lo, _cdf_row(lam, lo, hi)) for lam, (lo, hi) in spans.items()}
     # Pairs in lexicographic order hand each candidate its opponents' sums
     # in ascending order, the order of a one-candidate loop.
     totals = [0.0] * kappa
@@ -164,13 +165,25 @@ def _tie_level_probs(lams: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(min(1.0, max(0.0, total)) for total in totals)
 
 
-def _poisson_cdf_below(ms: np.ndarray, lam: float) -> np.ndarray:
-    """P(Poisson(lam) < m) for each m in the grid."""
+@functools.lru_cache(maxsize=16)
+def _cdf_row(lam: float, lo: int, hi: int) -> np.ndarray:
+    """Read-only P(Poisson(lam) < m) for m = lo..hi.
+
+    The counts are the same integer-valued doubles as a slice of a tie-level
+    grid, and ``gammaincc`` is elementwise, so a row holds the bits of the
+    span computed inside any grid.  A row carries no candidate labels, so
+    every profile whose first-choice rates put a bystander at this rate and
+    span (each relabeling of one profile, every front-runner profile of one
+    kappa) reads the same row.
+    """
+    ms = np.arange(lo, hi + 1, dtype=float)
     if lam == 0.0:
-        return (ms >= 1).astype(float)
-    # gammaincc(m, lam) = P(Poisson(lam) <= m - 1) for integer m >= 1.
-    out = np.where(ms >= 1, gammaincc(np.maximum(ms, 1.0), lam), 0.0)
-    return out
+        row = (ms >= 1).astype(float)
+    else:
+        # gammaincc(m, lam) = P(Poisson(lam) <= m - 1) for integer m >= 1.
+        row = np.where(ms >= 1, gammaincc(np.maximum(ms, 1.0), lam), 0.0)
+    row.flags.writeable = False
+    return row
 
 
 def smdp_reports(

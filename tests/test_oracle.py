@@ -23,6 +23,7 @@ from irvpivot import (
     total_pivot_prob,
 )
 from irvpivot.elections import _realized_totals, _recipients
+from irvpivot import oracle
 from irvpivot.oracle import _eliminate
 
 from conftest import dirichlet_profile
@@ -257,6 +258,33 @@ def test_memory_does_not_grow_with_draws():
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] * 1.05
     assert peaks[0] < 8e6
+
+
+def test_memory_is_bounded_by_cells_not_draws():
+    """A uniform κ=6 profile has 720 rankings: counted in 16,384-draw
+    chunks, this call's traced peak was 384 MB; in chunks of 2**20 count
+    cells (1,456 draws) it is about 36 MB."""
+    prof = gen_uniform_profile(6, 1000.0)
+    tracemalloc.start()
+    try:
+        mc_pivot_estimates(prof, [tuple(range(6)), (0,)], OracleConfig(draws=16_384, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+def test_chunk_size_does_not_change_counts(monkeypatch):
+    # 120 rankings take 8,738-draw chunks, two to this 16,384-draw block;
+    # with the cell bound lifted the block is one chunk.
+    prof = gen_uniform_profile(5, 1000.0)
+    ballots = [tuple(range(5)), (0,), (3, 1)]
+    cfg = OracleConfig(draws=16_384, seed=11)
+    chunked = mc_pivot_estimates(prof, ballots, cfg)
+    monkeypatch.setattr(oracle, "_CELLS", 1 << 40)
+    whole = mc_pivot_estimates(prof, ballots, cfg)
+    assert all(e.p_total_hat > 0.0 for e in whole)
+    assert chunked == whole
 
 
 @pytest.mark.parametrize("ballot", [(-1,), (0, 0), (7,)])

@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 
 from irvpivot import (
     BallotProfile,
+    ExperimentConfig,
     admissible_rankings,
     first_choice_rates,
     gen_powerlaw_profile,
     gen_uniform_profile,
+    run_experiment,
     skellam_pmf,
     smdp_pivot_prob,
     smdp_reports,
     total_pivot_prob,
 )
+from irvpivot import smdp
 
 from conftest import dirichlet_profile
 import reference
@@ -263,3 +266,53 @@ def test_tie_level_grid_too_long_for_an_array_names_the_rate(rate):
     profile = BallotProfile(3, {(0,): rate, (1,): 1.0, (2,): 1.0})
     with pytest.raises(ValueError, match=re.escape(f"rate {rate!r} is too large")):
         smdp_pivot_prob(profile, 1)
+
+
+def test_cdf_rows_shared_across_passes_keep_the_reference_bits():
+    # Later passes read rows that earlier ones filled: relabelings of one
+    # front-runner profile (rates 125, 125, 125, 625), a uniform profile,
+    # and Dirichlet first choices beside a bystander at 125 whose span
+    # differs from the front-runner profile's.
+    powerlaw = gen_powerlaw_profile(4, 1000.0, seed=0)
+    assert sorted(first_choice_rates(powerlaw)) == [125.0, 125.0, 125.0, 625.0]
+    perms = [(0, 1, 2, 3), (3, 0, 1, 2), (2, 3, 0, 1), (1, 2, 3, 0)]
+    relabelings = [powerlaw.relabeled(perm) for perm in perms]
+    dirichlet = first_choice_rates(dirichlet_profile(4, 1000.0, seed=3))
+    shares_125 = rates_profile([125.0, *dirichlet[1:]])
+    smdp._cdf_row.cache_clear()
+    smdp._tie_level_probs.cache_clear()
+    for prof in relabelings + [gen_uniform_profile(5, 1000.0), shares_125] + relabelings:
+        for c in range(prof.kappa):
+            assert smdp_pivot_prob(prof, c) == reference.smdp_pivot_prob(prof, c)
+    info = smdp._cdf_row.cache_info()
+    # Two rows for the front-runner profiles, one for the uniform one, and
+    # four for the Dirichlet rates, 125 at its own span among them; every
+    # other read is a hit.
+    assert (info.misses, info.hits) == (7, 14)
+
+
+def test_cached_cdf_rows_are_read_only():
+    row = smdp._cdf_row(125.0, 0, 300)
+    assert row is smdp._cdf_row(125.0, 0, 300)
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[0] = 1.0
+
+
+def test_figure1_batch_computes_each_cdf_row_once(monkeypatch):
+    # Every front-runner profile of one kappa has the same first-choice
+    # rates and spans, so the batch's rows are computed once each: one row
+    # per bystander rate, two for each kappa (computed afresh per contest,
+    # they took two ``gammaincc`` calls a contest, 120 here).
+    calls = []
+    gammaincc = smdp.gammaincc
+
+    def counting(*args):
+        calls.append(args)
+        return gammaincc(*args)
+
+    monkeypatch.setattr(smdp, "gammaincc", counting)
+    smdp._cdf_row.cache_clear()
+    smdp._tie_level_probs.cache_clear()
+    run_experiment(ExperimentConfig(kappas=(3, 4, 5), runs=20, distribution="powerlaw"))
+    assert len(calls) <= 6
